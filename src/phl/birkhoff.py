@@ -11,7 +11,7 @@ from .freemodel import representing_model, repn_morphism
 from .morphology import closed_submodel_generated, is_retraction, orthogonal
 from .semantics import (
     Homomorphism, PartialStructure, SemanticsError, check_hom, enumerate_homs,
-    exists_hom, holds, is_model, iter_homs, product,
+    exists_hom, holds, is_model, iter_homs, partial_hom_ok, product,
 )
 from .syntax import PhlError, Theory, conj, conjuncts
 
@@ -69,40 +69,6 @@ def _element_invariants_raw(m: PartialStructure, rounds: int) -> dict[str, dict[
     return inv
 
 
-def _iso_consistent(m, n, assigned: dict[str, dict[str, str]]) -> bool:
-    """Constraints restricted to assigned elements must match exactly."""
-    for f in m.signature.functions:
-        for args, val in m.func_table(f.name).items():
-            if all(a in assigned[s] for a, s in zip(args, f.arg_sorts)):
-                im = tuple(assigned[s][a] for a, s in zip(args, f.arg_sorts))
-                want = n.func_table(f.name).get(im)
-                if want is None:
-                    return False
-                if val in assigned[f.result] and assigned[f.result][val] != want:
-                    return False
-        inverse = {s: {v: k for k, v in assigned[s].items()}
-                   for s in m.signature.sorts}
-        for args, val in n.func_table(f.name).items():
-            if all(b in inverse[s] for b, s in zip(args, f.arg_sorts)):
-                pre = tuple(inverse[s][b] for b, s in zip(args, f.arg_sorts))
-                if pre not in m.func_table(f.name):
-                    return False
-    for r in m.signature.relations:
-        for args in m.rel_table(r.name):
-            if all(a in assigned[s] for a, s in zip(args, r.arg_sorts)):
-                im = tuple(assigned[s][a] for a, s in zip(args, r.arg_sorts))
-                if im not in n.rel_table(r.name):
-                    return False
-        inverse = {s: {v: k for k, v in assigned[s].items()}
-                   for s in m.signature.sorts}
-        for args in n.rel_table(r.name):
-            if all(b in inverse[s] for b, s in zip(args, r.arg_sorts)):
-                pre = tuple(inverse[s][b] for b, s in zip(args, r.arg_sorts))
-                if pre not in m.rel_table(r.name):
-                    return False
-    return True
-
-
 def iso_key(m: PartialStructure) -> tuple:
     """Isomorphism invariant: equal keys are necessary for isomorphism."""
     inv = _element_invariants(m)
@@ -125,27 +91,28 @@ def find_iso(m: PartialStructure, n: PartialStructure):
     inv_n = _element_invariants(n)
     todo = [(s, a) for s in m.signature.sorts for a in m.carrier(s)]
     assigned: dict[str, dict[str, str]] = {s: {} for s in m.signature.sorts}
+    inverse: dict[str, dict[str, str]] = {s: {} for s in m.signature.sorts}
 
     def rec(i: int):
         if i == len(todo):
             return True
         s, a = todo[i]
-        used = set(assigned[s].values())
         for b in n.carrier(s):
-            if b in used or inv_n[s][b] != inv_m[s][a]:
+            if b in inverse[s] or inv_n[s][b] != inv_m[s][a]:
                 continue
             assigned[s][a] = b
-            if _iso_consistent(m, n, assigned) and rec(i + 1):
+            inverse[s][b] = a
+            if partial_hom_ok(m, n, assigned) and \
+                    partial_hom_ok(n, m, inverse) and rec(i + 1):
                 return True
             del assigned[s][a]
+            del inverse[s][b]
         return False
 
     if not rec(0):
         return None
     h = Homomorphism("iso", m, n, {s: dict(t) for s, t in assigned.items()})
-    hinv = Homomorphism("iso_inv", n, m,
-                        {s: {v: k for k, v in t.items()}
-                         for s, t in assigned.items()})
+    hinv = Homomorphism("iso_inv", n, m, {s: dict(t) for s, t in inverse.items()})
     if not (check_hom(h) and check_hom(hinv)):
         return None
     return h, hinv
@@ -318,16 +285,8 @@ def _pool_growth_witnesses(closure: ModelUniverse, pool, arity_cap: int,
     reachable: list[PartialStructure] = []
     for k in range(arity_cap + 1):
         for combo in itertools.combinations_with_replacement(closure.models, k):
-            est = 1
-            for s in sig.sorts:
-                card = 1
-                for m in combo:
-                    card *= len(m.carrier(s))
-                est += card
-            if est - 1 > max_pool:
-                continue
             try:
-                reachable.append(product(sig, list(combo)))
+                reachable.append(product(sig, list(combo), cap=max_pool + 1))
             except SemanticsError:
                 continue
     for m in closure.models:
@@ -512,12 +471,6 @@ def _hom_exists(cat: FiniteCategory, a: str, b: str) -> bool:
 class ComponentPoset:
     components: tuple[tuple[str, ...], ...]
     order: frozenset[tuple[int, int]]      # (i, j) means component i <= j
-
-    def index_of(self, obj: str) -> int:
-        for i, comp in enumerate(self.components):
-            if obj in comp:
-                return i
-        raise KeyError(obj)
 
 
 def posetification(cat: FiniteCategory) -> ComponentPoset:

@@ -19,9 +19,9 @@ from .semantics import (
     interp_term, is_model,
 )
 from .syntax import (
-    App, Conj, Context, Eq, Formula, PhlError, RelApp, Signature, Term,
-    Theory, Truth, Var, conj, conjuncts, print_term, subst_formula, subst_term,
-    term_depth, well_formed,
+    EQ, REL, TERM, TRUE, App, Context, Eq, Formula, PhlError, RelApp, Signature,
+    Term, Theory, Var, conj, conjuncts, defined, flatten, print_term,
+    subst_formula, subst_term, term_depth, well_formed,
 )
 
 
@@ -107,67 +107,97 @@ class TermGraph:
                         queue.append((j, i))
         return True
 
-    def add_var(self, name: str, sort: str) -> int:
-        if name in self.vars:
-            return self.find(self.vars[name])
+    def _add_node(self, sym: str | None, varname: str | None,
+                  kids: tuple[int, ...], sort: str, depth: int) -> int:
         i = len(self.parent)
+        key = None if sym is None else (sym, kids)
         self.parent.append(i)
-        self.sym.append(None)
-        self.varname.append(name)
-        self.children.append(())
+        self.sym.append(sym)
+        self.varname.append(varname)
+        self.children.append(kids)
         self.sort.append(sort)
-        self.node_key.append(None)
-        self.class_depth[i] = 0
-        self.n_classes += 1
-        self.vars[name] = i
-        return i
-
-    def lookup(self, term: Term, env: dict[str, int]) -> int | None:
-        """Class of a term over an environment, without creating nodes."""
-        if isinstance(term, Var):
-            c = env.get(term.name)
-            return None if c is None else self.find(c)
-        kids = []
-        for a in term.args:
-            c = self.lookup(a, env)
-            if c is None:
-                return None
-            kids.append(c)
-        i = self.table.get((term.func, tuple(kids)))
-        return None if i is None else self.find(i)
-
-    def add_term(self, term: Term, env: dict[str, int], cap: int | None) -> int | None:
-        """Class of a term, creating nodes up to the depth cap; None when the
-        budget does not allow materializing it."""
-        if isinstance(term, Var):
-            return self.find(env[term.name])
-        kids = []
-        for a in term.args:
-            c = self.add_term(a, env, cap)
-            if c is None:
-                return None
-            kids.append(self.find(c))
-        key = (term.func, tuple(kids))
-        i = self.table.get(key)
-        if i is not None:
-            return self.find(i)
-        d = 1 + max((self.class_depth[k] for k in kids), default=0)
-        if cap is not None and d > cap:
-            return None
-        decl = self.sig.function(term.func)
-        i = len(self.parent)
-        self.parent.append(i)
-        self.sym.append(term.func)
-        self.varname.append(None)
-        self.children.append(tuple(kids))
-        self.sort.append(decl.result)
         self.node_key.append(key)
-        self.class_depth[i] = d
+        self.class_depth[i] = depth
         self.n_classes += 1
-        self.table[key] = i
+        if key is not None:
+            self.table[key] = i
         for k in set(kids):
             self.parents_of.setdefault(k, set()).add(i)
         return i
+
+    def add_var(self, name: str, sort: str) -> int:
+        if name in self.vars:
+            return self.find(self.vars[name])
+        self.vars[name] = self._add_node(None, name, (), sort, 0)
+        return self.vars[name]
+
+    def read(self, atoms, vals: list) -> bool:
+        """Whether flat atoms hold in the graph, without creating nodes.
+        `vals` holds canonical classes for the variable slots and receives
+        the class of every subterm slot."""
+        table, facts = self.table, self.facts
+        get = vals.__getitem__
+        for kind, name, args, out in atoms:
+            if kind == EQ:
+                if get(args[0]) != get(args[1]):
+                    return False
+            elif kind == REL:
+                if (name, tuple(map(get, args))) not in facts:
+                    return False
+            else:
+                i = table.get((name, tuple(map(get, args))))
+                if i is None:
+                    return False
+                vals[out] = self.find(i)
+        return True
+
+    def write(self, atoms, vals: list, cap: int | None, reason: str = "") -> bool:
+        """Drive flat conclusion atoms into the graph, creating nodes up to
+        the depth cap; True if some atom was deferred for exceeding it.  A
+        top-level term stops at its first deferred subterm."""
+        find, table = self.find, self.table
+        deferred = stopped = False
+        for kind, name, args, out in atoms:
+            if kind == EQ:
+                a, b = vals[args[0]], vals[args[1]]
+                if a is None or b is None:
+                    deferred = True
+                elif find(a) != find(b):
+                    self.merge(a, b, reason)
+                continue
+            if kind == REL:
+                classes = [vals[s] for s in args]
+                if None in classes:
+                    deferred = True
+                else:
+                    self.add_fact(name, classes, reason)
+                continue
+            if kind == TERM:
+                stopped = False
+            if stopped:
+                vals[out] = None
+                continue
+            kids = tuple([find(vals[s]) for s in args])
+            i = table.get((name, kids))
+            if i is not None:
+                vals[out] = find(i)
+                continue
+            d = 1 + max((self.class_depth[k] for k in kids), default=0)
+            if cap is not None and d > cap:
+                vals[out] = None
+                stopped = True
+            else:
+                vals[out] = self._add_node(name, None, kids,
+                                           self.sig.function(name).result, d)
+        return deferred
+
+    def lookup(self, term: Term, env: dict[str, int]) -> int | None:
+        """Class of a term over an environment, without creating nodes."""
+        clause = flatten(tuple(env), defined(term))
+        vals = _slots(self, clause, env)
+        if not self.read(clause.premise, vals):
+            return None
+        return vals[clause.terms.index(term)]
 
     def add_fact(self, rel: str, classes: tuple[int, ...], reason: str = "") -> bool:
         key = (rel, tuple(self.find(c) for c in classes))
@@ -177,9 +207,6 @@ class TermGraph:
         if reason:
             self.trace.append(reason)
         return True
-
-    def has_fact(self, rel: str, classes: tuple[int, ...]) -> bool:
-        return (rel, tuple(self.find(c) for c in classes)) in self.facts
 
     def stamp(self) -> tuple[int, int, int]:
         return (len(self.parent), self.n_classes, len(self.facts))
@@ -248,55 +275,23 @@ class TermGraph:
         return reps
 
 
+def _slots(g: TermGraph, clause, env: dict[str, int]) -> list:
+    vals = [g.find(env[n]) for n in env]
+    return vals + [None] * (len(clause.terms) - len(vals))
+
+
 def holds_in_graph(g: TermGraph, f: Formula, env: dict[str, int]) -> bool:
     """Whether a formula instance is established by the current graph."""
-    if isinstance(f, Truth):
-        return True
-    if isinstance(f, Conj):
-        return all(holds_in_graph(g, p, env) for p in f.parts)
-    if isinstance(f, Eq):
-        a = g.lookup(f.lhs, env)
-        b = g.lookup(f.rhs, env)
-        return a is not None and b is not None and a == b
-    classes = []
-    for t in f.args:
-        c = g.lookup(t, env)
-        if c is None:
-            return False
-        classes.append(c)
-    return g.has_fact(f.rel, tuple(classes))
+    clause = flatten(tuple(env), f)
+    return g.read(clause.premise, _slots(g, clause, env))
 
 
 def assert_in_graph(g: TermGraph, f: Formula, env: dict[str, int],
                     cap: int | None, reason: str = "") -> bool:
     """Drive a formula instance into the graph; True if some atom was
     deferred for exceeding the depth budget."""
-    deferred = False
-    if isinstance(f, Truth):
-        return False
-    if isinstance(f, Conj):
-        for p in f.parts:
-            deferred |= assert_in_graph(g, p, env, cap, reason)
-        return deferred
-    if isinstance(f, Eq):
-        a = g.add_term(f.lhs, env, cap)
-        b = g.add_term(f.rhs, env, cap)
-        if a is None or b is None:
-            return True
-        if g.find(a) != g.find(b):
-            g.merge(a, b, reason)
-        return False
-    classes = []
-    for t in f.args:
-        c = g.add_term(t, env, cap)
-        if c is None:
-            deferred = True
-        else:
-            classes.append(c)
-    if deferred:
-        return True
-    g.add_fact(f.rel, tuple(classes), reason)
-    return False
+    clause = flatten(tuple(env), TRUE, f)
+    return g.write(clause.conclusion, _slots(g, clause, env), cap, reason)
 
 
 DEFAULT_WORK_BUDGET = 500_000
@@ -328,32 +323,32 @@ def saturation_pass(theory: Theory, g: TermGraph, cap: int | None,
     deferred = False
     classes = g.classes_by_sort()
     for ax in theory.axioms:
-        ctx = ax.sequent.context
-        sorts = [s for _, s in ctx.vars]
-        names = ctx.names
-        for combo in itertools.product(*(classes[s] for s in sorts)):
+        seq = ax.sequent
+        clause = flatten(seq.context.names, seq.premise, seq.conclusion)
+        pad = [None] * (len(clause.terms) - len(seq.context))
+        for combo in itertools.product(*(classes[s] for _, s in seq.context.vars)):
             if budget is not None and not budget.spend():
                 return g.stamp() != before, True
             if any(g.find(c) != c for c in combo):
                 continue
-            env = dict(zip(names, combo))
-            if holds_in_graph(g, ax.sequent.premise, env):
+            vals = [*combo, *pad]
+            if g.read(clause.premise, vals):
                 reason = f"{ax.name}@{combo}"
-                deferred |= assert_in_graph(g, ax.sequent.conclusion, env, cap, reason)
+                deferred |= g.write(clause.conclusion, vals, cap, reason)
     return g.stamp() != before, deferred
 
 
 def saturate(theory: Theory, ctx: Context, constraint: Formula, depth: int,
              goal: Formula | None = None,
-             max_work: int = DEFAULT_WORK_BUDGET) -> tuple[TermGraph, bool, int, bool]:
+             max_work: int = DEFAULT_WORK_BUDGET) -> tuple[TermGraph, bool, bool, bool]:
     """Saturate the term graph of a constrained context.
 
-    Returns (graph, saturated, effective cap, goal reached).  The constraint
-    is seeded without a budget, so terms occurring in it always materialize.
-    When a goal formula is supplied, saturation stops as soon as the generic
-    tuple provably satisfies it (sound: derived facts only grow).  The work
-    budget bounds total axiom instantiations; exhausting it yields a
-    truncated result.
+    Returns (graph, saturated, work budget exhausted, goal reached).  The
+    constraint is seeded without a budget, so terms occurring in it always
+    materialize.  When a goal formula is supplied, saturation stops as soon
+    as the generic tuple provably satisfies it (sound: derived facts only
+    grow).  The work budget bounds total axiom instantiations; exhausting it
+    yields a truncated result.
     """
     if depth < 0:
         raise FreeModelError("depth must be >= 0")
@@ -368,19 +363,19 @@ def saturate(theory: Theory, ctx: Context, constraint: Formula, depth: int,
             g, goal, {n: g.find(i) for n, i in g.vars.items()})
 
     if goal_reached():
-        return g, False, cap, True
+        return g, False, False, True
     while True:
         changed, _ = saturation_pass(theory, g, cap, budget)
         if goal_reached():
-            return g, False, cap, True
+            return g, False, budget.exhausted, True
         if not changed or budget.exhausted:
             break
     if budget.exhausted:
-        return g, False, cap, False
+        return g, False, True, False
     probe = g.copy()
     changed, deferred = saturation_pass(theory, probe, cap + 1, budget)
     saturated = not changed and not deferred and not budget.exhausted
-    return g, saturated, cap, False
+    return g, saturated, budget.exhausted, False
 
 
 @dataclass
@@ -458,7 +453,7 @@ def representing_model(theory: Theory, ctx: Context, constraint: Formula,
     diags = well_formed(constraint, theory.signature, ctx)
     if diags:
         raise FreeModelError("ill-formed constraint: " + "; ".join(map(str, diags)))
-    g, saturated, _cap, _ = saturate(theory, ctx, constraint, depth,
+    g, saturated, _, _ = saturate(theory, ctx, constraint, depth,
                                      max_work=max_work)
     p = ModelPresentation(theory, ctx, constraint, SaturationStatus(saturated, depth), g)
     if saturated:

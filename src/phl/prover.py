@@ -13,9 +13,9 @@ from .semantics import PartialStructure, enumerate_models, formula_holds_at, \
     interp_formula
 from .syntax import (
     App, Conj, Context, Eq, Formula, PhlError, RelApp, Sequent, Signature, Term,
-    Theory, Truth, TRUE, Var, conj, defined, is_definedness,
+    Theory, Truth, TRUE, Var, atoms, conj, defined, is_definedness,
     parse_context_tokens, print_formula, print_sequent, print_term,
-    infer_sort, subst_formula, subst_term, well_formed, TokenStream,
+    infer_sort, subst_formula, subst_term, subterms, well_formed, TokenStream,
     _parse_formula_tokens, _parse_term_tokens,
 )
 
@@ -359,9 +359,10 @@ def prove(theory: Theory, seq: Sequent, depth: int = 4, model_size: int = 4,
     if diags:
         raise PhlError("ill-formed sequent: " + "; ".join(map(str, diags)))
     from .freemodel import DEFAULT_WORK_BUDGET
-    g, saturated, _cap, reached = saturate(theory, seq.context, seq.premise,
-                                           depth, goal=seq.conclusion,
-                                           max_work=max_work or DEFAULT_WORK_BUDGET)
+    max_work = max_work or DEFAULT_WORK_BUDGET
+    g, saturated, exhausted, reached = saturate(theory, seq.context, seq.premise,
+                                                depth, goal=seq.conclusion,
+                                                max_work=max_work)
     env = {name: g.find(i) for name, i in g.vars.items()}
     if reached or holds_in_graph(g, seq.conclusion, env):
         return Proved(tuple(g.trace), SaturationStatus(saturated, depth))
@@ -375,8 +376,10 @@ def prove(theory: Theory, seq: Sequent, depth: int = 4, model_size: int = 4,
         for tup in sorted(interp_formula(m, seq.context, seq.premise)):
             if not formula_holds_at(m, seq.context, seq.conclusion, tup):
                 return Refuted(m, tup, "enumerated countermodel")
-    return UnknownVerdict(f"saturation truncated at depth {depth} and no "
-                          f"countermodel with at most {model_size} elements per sort")
+    cause = (f"work budget of {max_work} axiom instances exhausted"
+             if exhausted else f"saturation truncated at depth {depth}")
+    return UnknownVerdict(f"{cause} and no countermodel with at most "
+                          f"{model_size} elements per sort")
 
 
 # ---------------------------------------------------------------------------
@@ -463,31 +466,16 @@ def _candidate_terms(sig, ctx, phi, sort) -> list[Term]:
 
     for n in ctx.names:
         note(Var(n))
-    for atom in _flat_conjuncts(phi):
+    for atom in atoms(phi):
         if isinstance(atom, Eq):
             for side in (atom.lhs, atom.rhs):
-                for t in _subterms(side):
+                for t in subterms(side):
                     note(t)
         elif isinstance(atom, RelApp):
             for arg in atom.args:
-                for t in _subterms(arg):
+                for t in subterms(arg):
                     note(t)
     return seen[:6]
-
-
-def _subterms(t: Term):
-    yield t
-    if isinstance(t, App):
-        for a in t.args:
-            yield from _subterms(a)
-
-
-def _flat_conjuncts(f: Formula):
-    if isinstance(f, Conj):
-        for p in f.parts:
-            yield from _flat_conjuncts(p)
-    elif not isinstance(f, Truth):
-        yield f
 
 
 def _axiom_step(theory, ctx, phi, psi, ax, fuel):
@@ -514,13 +502,13 @@ def _axiom_step(theory, ctx, phi, psi, ax, fuel):
             spaces.append(cands)
         if not feasible:
             continue
-        have = set(_flat_conjuncts(phi))
+        have = set(atoms(phi))
 
         def directness(extra):
             full = dict(binding)
             full.update(zip(unbound, extra))
             instantiated = subst_formula(ax.sequent.premise, full)
-            return sum(1 for a in _flat_conjuncts(instantiated) if a in have)
+            return sum(1 for a in atoms(instantiated) if a in have)
 
         for extra in sorted(itertools.product(*spaces), key=directness,
                             reverse=True):
@@ -575,10 +563,6 @@ def _strictness_step(theory, ctx, phi, atom, target, fuel):
 
 # ---------------------------------------------------------------------------
 # derived-rule derivation builders (the golden corpus)
-
-def _seq_of(node: Derivation) -> Sequent:
-    return node.sequent
-
 
 def rule_node(instance: RuleInstance, children: tuple[Derivation, ...],
               sig: Signature, theory: Theory | None = None) -> Derivation:

@@ -26,9 +26,6 @@ def random_term(rng: random.Random, sig: Signature, ctx: Context, sort: str,
         nullary = [f for f in constructors if not f.arg_sorts]
         if nullary:
             return App(rng.choice(nullary).name, ())
-        if not constructors:
-            return None
-    if not constructors:
         return None
     f = rng.choice(constructors)
     args = []

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .syntax import (
-    App, Conj, Context, Eq, FuncDecl, PhlError, Sequent, Signature, Theory,
-    TokenStream, Truth, Var, print_theory,
+    EQ, REL, App, Context, Eq, FuncDecl, PhlError, Sequent, Signature, Theory,
+    TokenStream, Truth, Var, atoms, defined, flatten, print_theory,
 )
 
 UNDEF = None
@@ -94,45 +94,73 @@ def structure_diagnostics(m: PartialStructure) -> list[str]:
 # ---------------------------------------------------------------------------
 # interpretation
 
+_UNK = object()  # value of a slot that depends on an unassigned cell
+_NO_HOLES: frozenset = frozenset()
+
+
+def _read(atoms, vals, funcs, rels, holes, touched) -> bool | None:
+    """Three-valued truth of a conjunction of flat atoms over partial tables.
+
+    `vals` holds the variable slots and receives every other slot.  A
+    function table maps argument tuples to values (a missing key is
+    undefined), a relation table holds its true tuples, and `holes` is the
+    set of cells `(symbol, args)` not assigned yet; every hole read is
+    noted in `touched`.  False as soon as some atom is definitely false,
+    None when the answer waits on a hole, else True.
+    """
+    known = True
+    get = vals.__getitem__
+    for kind, name, args, out in atoms:
+        if kind == EQ:
+            x, y = get(args[0]), get(args[1])
+            if x != y and x is not _UNK and y is not _UNK:
+                return False
+            continue
+        key = tuple(map(get, args))
+        if kind == REL:
+            if key in rels[name]:
+                continue
+        else:
+            v = funcs[name].get(key)
+            if v is not None:
+                vals[out] = v
+                continue
+        if not holes:
+            return False
+        if _UNK not in key:
+            cell = (name, key)
+            if cell not in holes:
+                return False
+            touched.append(cell)
+            known = False
+        if kind != REL:
+            vals[out] = _UNK
+    return True if known else None
+
+
+def _tables(m: PartialStructure):
+    sig = m.signature
+    return ({f.name: m.func_table(f.name) for f in sig.functions},
+            {r.name: m.rel_table(r.name) for r in sig.relations})
+
+
+def _slots(clause, tup) -> list:
+    return [*tup, *[None] * (len(clause.terms) - len(tup))]
+
+
 def interp_term(m: PartialStructure, ctx: Context, term, tup) -> str | None:
     """Kleene-strict evaluation; UNDEF (None) when any stage is undefined."""
-    env = dict(zip(ctx.names, tup))
-    return _eval_term(m, env, term)
-
-
-def _eval_term(m: PartialStructure, env: dict[str, str], term) -> str | None:
-    if isinstance(term, Var):
-        return env[term.name]
-    vals = []
-    for a in term.args:
-        v = _eval_term(m, env, a)
-        if v is UNDEF:
-            return UNDEF
-        vals.append(v)
-    return m.func_table(term.func).get(tuple(vals), UNDEF)
+    clause = flatten(ctx.names, defined(term))
+    vals = _slots(clause, tup)
+    if not _read(clause.premise, vals, *_tables(m), _NO_HOLES, None):
+        return UNDEF
+    return vals[clause.terms.index(term)]
 
 
 def formula_holds_at(m: PartialStructure, ctx: Context, f, tup) -> bool:
-    env = dict(zip(ctx.names, tup))
-    return _holds_env(m, env, f)
-
-
-def _holds_env(m: PartialStructure, env: dict[str, str], f) -> bool:
-    if isinstance(f, Truth):
-        return True
-    if isinstance(f, Conj):
-        return all(_holds_env(m, env, p) for p in f.parts)
-    if isinstance(f, Eq):
-        lv = _eval_term(m, env, f.lhs)
-        rv = _eval_term(m, env, f.rhs)
-        return lv is not UNDEF and rv is not UNDEF and lv == rv
-    vals = []
-    for a in f.args:
-        v = _eval_term(m, env, a)
-        if v is UNDEF:
-            return False
-        vals.append(v)
-    return tuple(vals) in m.rel_table(f.rel)
+    clause = flatten(ctx.names, f)
+    return bool(_read(clause.premise, _slots(clause, tup), *_tables(m),
+                      _NO_HOLES, None))
 
 
 def context_tuples(m: PartialStructure, ctx: Context):
@@ -140,7 +168,11 @@ def context_tuples(m: PartialStructure, ctx: Context):
 
 
 def interp_formula(m: PartialStructure, ctx: Context, f) -> set[tuple[str, ...]]:
-    return {tup for tup in context_tuples(m, ctx) if formula_holds_at(m, ctx, f, tup)}
+    clause = flatten(ctx.names, f)
+    funcs, rels = _tables(m)
+    return {tup for tup in context_tuples(m, ctx)
+            if _read(clause.premise, _slots(clause, tup), funcs, rels,
+                     _NO_HOLES, None)}
 
 
 @dataclass(frozen=True)
@@ -155,9 +187,12 @@ class HoldsResult:
 def holds(m: PartialStructure, seq: Sequent) -> HoldsResult:
     """Validity of a sequent; on failure carries a premise tuple outside the
     conclusion."""
+    clause = flatten(seq.context.names, seq.premise, seq.conclusion)
+    funcs, rels = _tables(m)
     for tup in context_tuples(m, seq.context):
-        if formula_holds_at(m, seq.context, seq.premise, tup) and \
-                not formula_holds_at(m, seq.context, seq.conclusion, tup):
+        vals = _slots(clause, tup)
+        if _read(clause.premise, vals, funcs, rels, _NO_HOLES, None) and \
+                not _read(clause.conclusion, vals, funcs, rels, _NO_HOLES, None):
             return HoldsResult(False, tup)
     return HoldsResult(True)
 
@@ -233,8 +268,25 @@ def compose_homs(g: Homomorphism, f: Homomorphism) -> Homomorphism:
     return Homomorphism(f"{g.name}.{f.name}", f.source, g.target, maps)
 
 
-def homs_equal(f: Homomorphism, g: Homomorphism) -> bool:
-    return f.source == g.source and f.target == g.target and f.maps == g.maps
+def partial_hom_ok(m: PartialStructure, n: PartialStructure,
+                   maps: dict[str, dict[str, str]]) -> bool:
+    """Whether a partial element map m -> n preserves every table entry of m
+    whose arguments it already maps."""
+    for f in m.signature.functions:
+        target = n.func_table(f.name)
+        res = maps[f.result]
+        for args, val in m.func_table(f.name).items():
+            if all(a in maps[s] for a, s in zip(args, f.arg_sorts)):
+                want = target.get(tuple(maps[s][a] for a, s in zip(args, f.arg_sorts)))
+                if want is None or (val in res and res[val] != want):
+                    return False
+    for r in m.signature.relations:
+        target = n.rel_table(r.name)
+        for args in m.rel_table(r.name):
+            if all(a in maps[s] for a, s in zip(args, r.arg_sorts)):
+                if tuple(maps[s][a] for a, s in zip(args, r.arg_sorts)) not in target:
+                    return False
+    return True
 
 
 def iter_homs(m: PartialStructure, n: PartialStructure,
@@ -249,31 +301,6 @@ def iter_homs(m: PartialStructure, n: PartialStructure,
         if not n.carrier(s):
             return
     maps: dict[str, dict[str, str]] = {s: {} for s in m.signature.sorts}
-
-    fun_constraints = []
-    for f in m.signature.functions:
-        for args, val in m.func_table(f.name).items():
-            fun_constraints.append((f.name, f.arg_sorts, args, f.result, val))
-    rel_constraints = []
-    for r in m.signature.relations:
-        for args in m.rel_table(r.name):
-            rel_constraints.append((r.name, r.arg_sorts, args))
-
-    def consistent() -> bool:
-        for fname, arg_sorts, args, res_sort, val in fun_constraints:
-            if all(a in maps[s] for a, s in zip(args, arg_sorts)):
-                im = tuple(maps[s][a] for a, s in zip(args, arg_sorts))
-                want = n.func_table(fname).get(im)
-                if want is None:
-                    return False
-                if val in maps[res_sort] and maps[res_sort][val] != want:
-                    return False
-        for rname, arg_sorts, args in rel_constraints:
-            if all(a in maps[s] for a, s in zip(args, arg_sorts)):
-                im = tuple(maps[s][a] for a, s in zip(args, arg_sorts))
-                if im not in n.rel_table(rname):
-                    return False
-        return True
 
     count = 0
 
@@ -292,7 +319,7 @@ def iter_homs(m: PartialStructure, n: PartialStructure,
                 allowed = [b for b in allowed if b in r]
         for b in allowed:
             maps[s][a] = b
-            if consistent():
+            if partial_hom_ok(m, n, maps):
                 yield from rec(i + 1)
             del maps[s][a]
 
@@ -489,30 +516,17 @@ def chain_colimit(theory: Theory, diagram: ChainDiagram) -> ColimitResult:
 # ---------------------------------------------------------------------------
 # bounded enumeration of structures and models
 
-_HOLE = "?"
-_U3 = object()   # definitely undefined
-_UNK = object()  # depends on an unassigned cell
-
-
 def _totalish_functions(theory: Theory) -> set[str]:
     """Function symbols asserted total by an axiom with a trivial premise."""
     out = set()
     for ax in theory.axioms:
         if not isinstance(ax.sequent.premise, Truth):
             continue
-        for a in _flat_atoms(ax.sequent.conclusion):
+        for a in atoms(ax.sequent.conclusion):
             if isinstance(a, Eq) and a.lhs == a.rhs and isinstance(a.lhs, App):
                 if all(isinstance(x, Var) for x in a.lhs.args):
                     out.add(a.lhs.func)
     return out
-
-
-def _flat_atoms(f):
-    if isinstance(f, Conj):
-        for p in f.parts:
-            yield from _flat_atoms(p)
-    elif not isinstance(f, Truth):
-        yield f
 
 
 def enumerate_structures(theory: Theory, sizes: dict[str, int]):
@@ -536,101 +550,49 @@ def enumerate_structures(theory: Theory, sizes: dict[str, int]):
             return (1, len(d.arg_sorts), d.name)
         return (2, len(d.arg_sorts), d.name)
 
-    cells: list[tuple[str, str, tuple[str, ...]]] = []
+    # a cell is (symbol, args); its options are the values it may take, with
+    # UNDEF meaning absent from the table
+    cells: list[tuple[str, tuple[str, ...], list]] = []
     for f in sorted(sig.functions, key=func_rank):
+        options = list(carriers[f.result]) + [UNDEF]
         for args in itertools.product(*(carriers[s] for s in f.arg_sorts)):
-            cells.append(("fun", f.name, args))
+            cells.append((f.name, args, options))
     for r in sorted(sig.relations, key=lambda d: (len(d.arg_sorts), d.name)):
         for args in itertools.product(*(carriers[s] for s in r.arg_sorts)):
-            cells.append(("rel", r.name, args))
+            cells.append((r.name, args, [UNDEF, True]))
 
-    funcs = {f.name: {args: _HOLE for kind, name, args in cells
-                      if kind == "fun" and name == f.name}
-             for f in sig.functions}
-    rels = {r.name: {args: _HOLE for kind, name, args in cells
-                     if kind == "rel" and name == r.name}
-            for r in sig.relations}
-
-    def eval_term(env, term, touched):
-        if isinstance(term, Var):
-            return env[term.name]
-        vals = []
-        for a in term.args:
-            v = eval_term(env, a, touched)
-            if v is _U3 or v is _UNK:
-                return v
-            vals.append(v)
-        key = tuple(vals)
-        cell = funcs[term.func].get(key, _HOLE)
-        if cell == _HOLE:
-            touched.append(("fun", term.func, key))
-            return _UNK
-        if cell is UNDEF:
-            return _U3
-        return cell
-
-    def eval_formula(env, f, touched):
-        if isinstance(f, Truth):
-            return True
-        if isinstance(f, Conj):
-            result = True
-            for p in f.parts:
-                r = eval_formula(env, p, touched)
-                if r is False:
-                    return False
-                if r is None:
-                    result = None
-            return result
-        if isinstance(f, Eq):
-            l = eval_term(env, f.lhs, touched)
-            r = eval_term(env, f.rhs, touched)
-            if l is _U3 or r is _U3:
-                return False
-            if l is _UNK or r is _UNK:
-                return None
-            return l == r
-        vals = []
-        for a in f.args:
-            v = eval_term(env, a, touched)
-            if v is _U3:
-                return False
-            if v is _UNK:
-                return None
-            vals.append(v)
-        key = tuple(vals)
-        cell = rels[f.rel].get(key, _HOLE)
-        if cell == _HOLE:
-            touched.append(("rel", f.rel, key))
-            return None
-        return cell
+    funcs: dict[str, dict] = {f.name: {} for f in sig.functions}
+    rels: dict[str, dict] = {r.name: {} for r in sig.relations}
+    tables = {**funcs, **rels}
+    holes = {(name, args) for name, args, _ in cells}
 
     instances = []
     for ax in theory.axioms:
-        for tup in itertools.product(*(carriers[s] for _, s in ax.sequent.context.vars)):
-            env = dict(zip(ax.sequent.context.names, tup))
-            instances.append((ax.sequent, env))
+        seq = ax.sequent
+        clause = flatten(seq.context.names, seq.premise, seq.conclusion)
+        for tup in itertools.product(*(carriers[s] for _, s in seq.context.vars)):
+            instances.append((clause.premise, clause.conclusion,
+                              _slots(clause, tup)))
     watch: list[frozenset] = [frozenset()] * len(instances)
 
     def status(k):
-        seq, env = instances[k]
+        premise, conclusion, vals = instances[k]
         touched: list = []
-        p = eval_formula(env, seq.premise, touched)
+        p = _read(premise, vals, funcs, rels, holes, touched) if premise else True
         if p is False:
             return True
-        c = eval_formula(env, seq.conclusion, touched)
+        c = _read(conclusion, vals, funcs, rels, holes, touched)
+        if c is True:
+            return True
         if p is True and c is False:
             return False
-        if p is True and c is True:
-            return True
         watch[k] = frozenset(touched)
         return None
 
     def freeze(count):
-        fs = {f: {a: v for a, v in t.items() if v is not UNDEF}
-              for f, t in funcs.items()}
-        rs = {r: frozenset(a for a, v in t.items() if v is True)
-              for r, t in rels.items()}
-        return PartialStructure(f"M{count}", sig, dict(carriers), fs, rs)
+        return PartialStructure(f"M{count}", sig, dict(carriers),
+                                {f: dict(t) for f, t in funcs.items()},
+                                {r: frozenset(t) for r, t in rels.items()})
 
     count = 0
 
@@ -641,18 +603,20 @@ def enumerate_structures(theory: Theory, sizes: dict[str, int]):
                 count += 1
                 yield freeze(count)
             return
-        kind, name, args = cells[i]
-        cell_key = (kind, name, args)
-        table = funcs[name] if kind == "fun" else rels[name]
-        options = (list(carriers[sig.function(name).result]) + [UNDEF]
-                   if kind == "fun" else [False, True])
+        name, args, options = cells[i]
+        cell = (name, args)
+        table = tables[name]
+        holes.remove(cell)
         for value in options:
-            table[args] = value
+            if value is UNDEF:
+                table.pop(args, None)
+            else:
+                table[args] = value
             still = []
             trail = []
             ok = True
             for k in unknown:
-                if cell_key not in watch[k]:
+                if cell not in watch[k]:
                     still.append(k)
                     continue
                 trail.append((k, watch[k]))
@@ -666,19 +630,17 @@ def enumerate_structures(theory: Theory, sizes: dict[str, int]):
                 yield from rec(i + 1, still)
             for k, old in trail:
                 watch[k] = old
-        table[args] = _HOLE
+        table.pop(args, None)
+        holes.add(cell)
 
     initial = []
-    ok0 = True
     for k in range(len(instances)):
         st = status(k)
         if st is False:
-            ok0 = False
-            break
+            return
         if st is None:
             initial.append(k)
-    if ok0:
-        yield from rec(0, initial)
+    yield from rec(0, initial)
 
 
 def _sort_tag(sort: str) -> str:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 
 class PhlError(Exception):
@@ -423,8 +423,68 @@ def substitute(sig: Signature, src_ctx: Context, tgt_ctx: Context,
     return subst_formula(obj, assignment)
 
 
-def identity_assignment(ctx: Context) -> dict[str, Term]:
-    return {n: Var(n) for n in ctx.names}
+# ---------------------------------------------------------------------------
+# flat clauses
+
+# Atom kinds.  An atom is a 4-tuple (kind, symbol, argument slots, out slot):
+# (FUN, f, xs, y) is f(xs) = y, (REL, R, xs, None) is R(xs) and
+# (EQ, None, (x, y), None) is x = y.  A TERM atom is a FUN atom that opens a
+# top-level term of the conclusion.
+FUN, TERM, REL, EQ = "fun", "term", "rel", "eq"
+
+
+@dataclass(frozen=True)
+class Clause:
+    """A sequent as conjunctions of flat atoms over numbered slots, one slot
+    per distinct subterm; slot i holds the value of terms[i], and the first
+    slots are the context variables.
+
+    Under Kleene-strict semantics a formula holds exactly when every slot
+    its atoms define is defined and every atom holds.  The premise defines
+    each subterm once.  The conclusion defines the subterms of each
+    top-level term (an equation side or a relation argument) afresh, so that
+    it reads no slot the premise filled and can be written into an e-graph
+    term by term.
+    """
+    terms: tuple[Term, ...]
+    premise: tuple[tuple, ...]
+    conclusion: tuple[tuple, ...]
+
+
+@lru_cache(maxsize=4096)
+def flatten(names: tuple[str, ...], premise: Formula,
+            conclusion: Formula = TRUE) -> Clause:
+    """The flat clause of `premise |- conclusion` over the given variables."""
+    slots: dict[Term, int] = {Var(n): i for i, n in enumerate(names)}
+
+    def flat(f: Formula, fresh: bool) -> tuple[tuple, ...]:
+        out: list[tuple] = []
+        done: set[Term] = set()   # subterms defined in the current scope
+
+        def define(t: Term) -> int:
+            if isinstance(t, App) and t not in done:
+                args = tuple(define(a) for a in t.args)
+                kind = TERM if fresh and not done else FUN
+                done.add(t)
+                out.append((kind, t.func, args, slots.setdefault(t, len(slots))))
+            return slots[t]
+
+        def top(t: Term) -> int:
+            if fresh:
+                done.clear()
+            return define(t)
+
+        for a in atoms(f):
+            if isinstance(a, Eq):
+                x = top(a.lhs)
+                y = x if a.rhs == a.lhs else top(a.rhs)
+                out.append((EQ, None, (x, y), None))
+            else:
+                out.append((REL, a.rel, tuple(top(t) for t in a.args), None))
+        return tuple(out)
+
+    prem, concl = flat(premise, False), flat(conclusion, True)
+    return Clause(tuple(slots), prem, concl)
 
 
 # ---------------------------------------------------------------------------
@@ -717,13 +777,6 @@ def parse_formula_in_context(text: str, sig: Signature) -> tuple[Context, Formul
     ts.expect("eof")
     _validated("formula", f, sig, ctx)
     return ctx, f
-
-
-def parse_term(text: str, sig: Signature, ctx: Context) -> Term:
-    ts = TokenStream(text)
-    t = _parse_term_tokens(ts, sig, ctx)
-    ts.expect("eof")
-    return _validated("term", t, sig, ctx)
 
 
 def parse_theory(text: str) -> Theory:

@@ -273,6 +273,15 @@ class TestProve:
                             mon.signature)
         r = prove(mon, seq, depth=1, model_size=1)
         assert isinstance(r, UnknownVerdict)
+        assert r.reason.startswith("saturation truncated at depth 1")
+
+    def test_unknown_names_the_work_budget(self, pos):
+        seq = parse_sequent("[x:*, y:*, z:*] leq(x,y) /\\ leq(y,z) |- leq(x,z)",
+                            pos.signature)
+        r = prove(pos, seq, depth=3, model_size=0, max_work=5)
+        assert isinstance(r, UnknownVerdict)
+        assert r.reason.startswith("work budget of 5 axiom instances exhausted")
+        assert "depth" not in r.reason
 
     def test_budget_validation(self, pos):
         seq = parse_sequent("[x:*] true |- leq(x,x)", pos.signature)

@@ -1,21 +1,24 @@
 import itertools
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phl.semantics import (
-    ChainDiagram, Homomorphism, SemanticsError, chain_colimit, check_hom,
-    compose_homs, enumerate_homs, enumerate_models, enumerate_structures,
-    formula_holds_at, holds, identity_hom, interp_formula, interp_term,
-    is_model, make_structure, parse_hom, parse_model, print_hom, print_model,
-    product, terminal,
+    ChainDiagram, Homomorphism, HoldsResult, PartialStructure, SemanticsError,
+    chain_colimit, check_hom, compose_homs, context_tuples, enumerate_homs,
+    enumerate_models, enumerate_structures, formula_holds_at, holds,
+    identity_hom, interp_formula, interp_term, is_model, make_structure,
+    parse_hom, parse_model, print_hom, print_model, product, terminal,
 )
-from phl.syntax import App, Context, Eq, RelApp, TRUE, Var, conj, defined, \
-    parse_sequent
+from phl.sampling import random_sequent
+from phl.syntax import App, Conj, Context, Eq, RelApp, TRUE, Truth, Var, \
+    atoms, conj, defined, parse_sequent, subterms
 from phl.theories import (
-    antichain_poset, chain_poset, cycle_preorder, mon_inv_theory, mon_theory,
-    pos_theory, zmod_monoid,
+    antichain_poset, cat_theory, chain_poset, cycle_preorder, mon_inv_theory,
+    mon_theory, pos_theory, preorder_theory, zmod_monoid,
 )
 
 from conftest import formulas_over
@@ -244,3 +247,112 @@ class TestTextFormats:
         text = print_hom(h)
         h2 = parse_hom(text, {"chain2": chain2})
         assert h2.maps == h.maps
+
+
+# ---------------------------------------------------------------------------
+# the flat-clause evaluator against a recursive Kleene-strict reference
+
+def ref_term(m, env, t):
+    if isinstance(t, Var):
+        return env[t.name]
+    vals = [ref_term(m, env, a) for a in t.args]
+    if None in vals:
+        return None
+    return m.func_table(t.func).get(tuple(vals))
+
+
+def ref_holds(m, env, f) -> bool:
+    if isinstance(f, Truth):
+        return True
+    if isinstance(f, Conj):
+        return all(ref_holds(m, env, p) for p in f.parts)
+    if isinstance(f, Eq):
+        lv, rv = ref_term(m, env, f.lhs), ref_term(m, env, f.rhs)
+        return lv is not None and lv == rv
+    vals = [ref_term(m, env, a) for a in f.args]
+    return None not in vals and tuple(vals) in m.rel_table(f.rel)
+
+
+def _terms_of(f):
+    for a in atoms(f):
+        for t in ((a.lhs, a.rhs) if isinstance(a, Eq) else a.args):
+            yield from subterms(t)
+
+
+class TestFlatEvaluator:
+    @pytest.mark.parametrize("theory_fn", [pos_theory, preorder_theory,
+                                           mon_theory, cat_theory])
+    def test_agrees_with_reference(self, theory_fn):
+        theory = theory_fn()
+        models = enumerate_models(theory, 3)
+        rng = random.Random(4242)
+        for _ in range(30):
+            seq = random_sequent(rng, theory, max_vars=3, max_atoms=3, depth=2)
+            ctx = seq.context
+            terms = set(_terms_of(seq.premise)) | set(_terms_of(seq.conclusion))
+            for m in models:
+                witness = None
+                for tup in context_tuples(m, ctx):
+                    env = dict(zip(ctx.names, tup))
+                    p = ref_holds(m, env, seq.premise)
+                    c = ref_holds(m, env, seq.conclusion)
+                    assert formula_holds_at(m, ctx, seq.premise, tup) == p
+                    assert formula_holds_at(m, ctx, seq.conclusion, tup) == c
+                    for t in terms:
+                        assert interp_term(m, ctx, t, tup) == ref_term(m, env, t)
+                    if p and not c and witness is None:
+                        witness = tup
+                assert holds(m, seq) == HoldsResult(witness is None, witness)
+
+    @staticmethod
+    def _brute_force(theory, sizes):
+        """Every partial table on the enumerator's carriers, filtered by
+        is_model."""
+        sig = theory.signature
+        carriers = {s: tuple(f"{'u' if s == '*' else s}{i}"
+                             for i in range(sizes[s])) for s in sig.sorts}
+        cells = [(f.name, args, carriers[f.result] + (None,))
+                 for f in sig.functions
+                 for args in itertools.product(*(carriers[s] for s in f.arg_sorts))]
+        cells += [(r.name, args, (False, True)) for r in sig.relations
+                  for args in itertools.product(*(carriers[s] for s in r.arg_sorts))]
+        found, candidates = [], 0
+        for choice in itertools.product(*(opts for _, _, opts in cells)):
+            candidates += 1
+            funcs = {f.name: {} for f in sig.functions}
+            rels = {r.name: set() for r in sig.relations}
+            for (name, args, _), v in zip(cells, choice):
+                if v is True:
+                    rels[name].add(args)
+                elif v is not None and v is not False:
+                    funcs[name][args] = v
+            m = PartialStructure("M", sig, carriers, funcs,
+                                 {r: frozenset(t) for r, t in rels.items()})
+            if is_model(m, theory):
+                found.append(print_model(m))
+        return found, candidates
+
+    @pytest.mark.parametrize("theory_fn, sizes, candidates", [
+        (mon_theory, {"*": 2}, 243),
+        (cat_theory, {"ob": 1, "mor": 2}, 3888),
+    ])
+    def test_enumeration_matches_brute_force(self, theory_fn, sizes, candidates):
+        theory = theory_fn()
+        want, n = self._brute_force(theory, sizes)
+        assert n == candidates
+        got = [print_model(replace(m, name="M"))
+               for m in enumerate_structures(theory, sizes)]
+        assert got and len(got) == len(set(got))
+        assert sorted(got) == sorted(want)
+
+
+class TestRandomSequents:
+    def test_cat_draws_stay_within_depth(self):
+        # at depth 0 a sort with no variable and no constant has no term;
+        # picking a constructor there recursed without bound
+        rng = random.Random(2)
+        for theory in (pos_theory(), preorder_theory(), mon_theory()):
+            for _ in range(60):
+                random_sequent(rng, theory, max_vars=3, max_atoms=2, depth=2)
+        for _ in range(60):
+            random_sequent(rng, cat_theory(), max_vars=3, max_atoms=2, depth=2)
