@@ -4,16 +4,16 @@ finite models, definability experiments, and posetification diagnostics.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .freemodel import representing_model, repn_morphism
 from .morphology import closed_submodel_generated, is_retraction, orthogonal
 from .semantics import (
-    Homomorphism, PartialStructure, SemanticsError, check_hom, enumerate_homs,
-    exists_hom, holds, is_model, iter_homs, partial_hom_ok, product,
+    Homomorphism, PartialStructure, SemanticsError, check_hom, exists_hom,
+    holds, is_model, iter_homs, partial_hom_ok, product,
 )
-from .syntax import PhlError, Theory, conj, conjuncts
+from .syntax import PhlError, Theory, Var, conj, conjuncts
 
 
 class BirkhoffError(PhlError):
@@ -23,20 +23,14 @@ class BirkhoffError(PhlError):
 # ---------------------------------------------------------------------------
 # universes of models up to isomorphism
 
-def _element_invariants(m: PartialStructure, rounds: int = 2) -> dict[str, dict[str, tuple]]:
+def _element_invariants(m: PartialStructure) -> dict[str, dict[str, tuple]]:
     """Iteratively refined isomorphism-invariant colors per element (cached
     on the structure)."""
     cached = m.__dict__.get("_invariants")
     if cached is not None:
         return cached
-    inv = _element_invariants_raw(m, rounds)
-    object.__setattr__(m, "_invariants", inv)
-    return inv
-
-
-def _element_invariants_raw(m: PartialStructure, rounds: int) -> dict[str, dict[str, tuple]]:
     inv = {s: {a: (0,) for a in m.carrier(s)} for s in m.signature.sorts}
-    for _ in range(rounds + 1):
+    for _ in range(3):
         new = {s: {} for s in m.signature.sorts}
         for s in m.signature.sorts:
             for a in m.carrier(s):
@@ -66,26 +60,28 @@ def _element_invariants_raw(m: PartialStructure, rounds: int) -> dict[str, dict[
             for a in m.carrier(s):
                 new[s][a] = (palette[new[s][a]],)
         inv = new
+    object.__setattr__(m, "_invariants", inv)
     return inv
 
 
 def iso_key(m: PartialStructure) -> tuple:
-    """Isomorphism invariant: equal keys are necessary for isomorphism."""
-    inv = _element_invariants(m)
-    return (tuple(len(m.carrier(s)) for s in m.signature.sorts),
-            tuple(len(m.func_table(f.name)) for f in m.signature.functions),
-            tuple(len(m.rel_table(r.name)) for r in m.signature.relations),
-            tuple(tuple(sorted(inv[s].values())) for s in m.signature.sorts))
+    """Isomorphism invariant: equal keys are necessary for isomorphism
+    (cached on the structure)."""
+    key = m.__dict__.get("_iso_key")
+    if key is None:
+        inv = _element_invariants(m)
+        key = (tuple(len(m.carrier(s)) for s in m.signature.sorts),
+               tuple(len(m.func_table(f.name)) for f in m.signature.functions),
+               tuple(len(m.rel_table(r.name)) for r in m.signature.relations),
+               tuple(tuple(sorted(inv[s].values())) for s in m.signature.sorts))
+        object.__setattr__(m, "_iso_key", key)
+    return key
 
 
 def find_iso(m: PartialStructure, n: PartialStructure):
     """A pair of mutually inverse homomorphisms, by invariant-pruned
     backtracking; None when the structures are not isomorphic."""
-    if m.signature != n.signature:
-        return None
-    if any(len(m.carrier(s)) != len(n.carrier(s)) for s in m.signature.sorts):
-        return None
-    if iso_key(m) != iso_key(n):
+    if m.signature != n.signature or iso_key(m) != iso_key(n):
         return None
     inv_m = _element_invariants(m)
     inv_n = _element_invariants(n)
@@ -120,36 +116,39 @@ def find_iso(m: PartialStructure, n: PartialStructure):
 
 def fingerprint(m: PartialStructure) -> tuple:
     """Isomorphism-invariant sorting key for deterministic merges."""
-    sizes = tuple(len(m.carrier(s)) for s in m.signature.sorts)
-    fsizes = tuple(len(m.func_table(f.name)) for f in m.signature.functions)
-    rsizes = tuple(len(m.rel_table(r.name)) for r in m.signature.relations)
+    sizes, fsizes, rsizes, _ = iso_key(m)
     return (sum(sizes), sizes, fsizes, rsizes, m.name)
 
 
-@dataclass
-class ModelUniverse:
-    theory: Theory
-    models: list[PartialStructure]
-    size_cap: int = 64
+# An iso index maps iso_key to the structures with that key.  Every test of
+# "is this new up to iso?" goes through one, so find_iso only ever compares
+# structures whose keys agree.
 
-    def __post_init__(self):
-        for m in self.models:
-            report = is_model(m, self.theory)
-            if not report.ok:
-                raise BirkhoffError(
-                    f"'{m.name}' is not a model: {report.violations}")
-        self.models = iso_collapse(self.models)
+def _index(models) -> dict[tuple, list[PartialStructure]]:
+    index: dict[tuple, list[PartialStructure]] = {}
+    for m in models:
+        index.setdefault(iso_key(m), []).append(m)
+    return index
 
-    def contains_iso(self, m: PartialStructure) -> bool:
-        return any(find_iso(m, n) for n in self.models)
+
+def _has_iso(index: dict, m: PartialStructure) -> bool:
+    for n in index.get(iso_key(m), ()):
+        if find_iso(m, n) is not None:
+            return True
+    return False
+
+
+def _add_new(index: dict, m: PartialStructure) -> bool:
+    """Index m unless it is isomorphic to an indexed structure."""
+    if _has_iso(index, m):
+        return False
+    index.setdefault(iso_key(m), []).append(m)
+    return True
 
 
 def iso_collapse(models) -> list[PartialStructure]:
-    out: list[PartialStructure] = []
-    for m in sorted(models, key=fingerprint):
-        if not any(find_iso(m, n) for n in out):
-            out.append(m)
-    return out
+    index: dict = {}
+    return [m for m in sorted(models, key=fingerprint) if _add_new(index, m)]
 
 
 @dataclass(frozen=True)
@@ -158,60 +157,91 @@ class ClosureReport:
     skipped: tuple[str, ...] = ()   # candidates beyond the size cap
 
 
-def close_P(universe: ModelUniverse, arity_cap: int = 2) -> tuple[ModelUniverse, ClosureReport]:
-    """Add products of members up to the arity cap (including the empty
-    product); oversized products are skipped and reported."""
-    sig = universe.theory.signature
-    added, skipped = [], []
-    new = list(universe.models)
+@dataclass
+class ModelUniverse:
+    theory: Theory
+    models: list[PartialStructure]
+    size_cap: int = 64
+    index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for m in self.models:
+            report = is_model(m, self.theory)
+            if not report.ok:
+                raise BirkhoffError(
+                    f"'{m.name}' is not a model: {report.violations}")
+        self.models = iso_collapse(self.models)
+        self.index = _index(self.models)
+
+    def contains_iso(self, m: PartialStructure) -> bool:
+        return _has_iso(self.index, m)
+
+    def grow(self, candidates) -> tuple[ModelUniverse, ClosureReport]:
+        """The universe plus each (label, structure) candidate that is new up
+        to iso, against the members and the earlier candidates; a candidate
+        whose structure is None is reported as skipped."""
+        added, skipped = [], []
+        new = list(self.models)
+        index = _index(new)
+        for label, m in candidates:
+            if m is None:
+                skipped.append(label)
+            elif _add_new(index, m):
+                new.append(m)
+                added.append(label)
+        return (ModelUniverse(self.theory, new, self.size_cap),
+                ClosureReport(tuple(added), tuple(skipped)))
+
+
+def _products(sig, models, arity_cap: int, cap: int):
+    """(label, product) for each combination of up to arity_cap members, the
+    empty one included; the product is None when it would exceed the cap."""
     for k in range(arity_cap + 1):
-        for combo in itertools.combinations_with_replacement(universe.models, k):
+        for combo in itertools.combinations_with_replacement(models, k):
+            label = "x".join(m.name for m in combo) or "1"
             try:
-                p = product(sig, list(combo), cap=universe.size_cap)
+                yield label, product(sig, list(combo), cap=cap)
             except SemanticsError:
-                skipped.append("x".join(m.name for m in combo) or "1")
-                continue
-            if not any(find_iso(p, n) for n in new):
-                new.append(p)
-                added.append(p.name)
-    return (ModelUniverse(universe.theory, new, universe.size_cap),
-            ClosureReport(tuple(added), tuple(skipped)))
-
-
-def _all_closed_submodels(b: PartialStructure):
-    sig = b.signature
-    per_sort = [list(b.carrier(s)) for s in sig.sorts]
-    spaces = [list(itertools.product([False, True], repeat=len(e)))
-              for e in per_sort]
-    seen = set()
-    for mask in itertools.product(*spaces):
-        subset = {s: {a for a, keep in zip(per_sort[i], mask[i]) if keep}
-                  for i, s in enumerate(sig.sorts)}
-        sub, _ = closed_submodel_generated(b, subset)
-        key = tuple(tuple(sub.carrier(s)) for s in sig.sorts)
-        if key not in seen:
-            seen.add(key)
-            yield sub
+                yield label, None
 
 
 SUBMODEL_ENUM_CAP = 14
 
 
+def _closed_submodels(models):
+    """("member|size", closed submodel) for each distinct closed submodel of
+    each member, generated from every subset; (member, None) for a member
+    too large for subset enumeration."""
+    for b in models:
+        if b.size() > SUBMODEL_ENUM_CAP:
+            yield b.name, None
+            continue
+        sorts = b.signature.sorts
+        per_sort = [list(b.carrier(s)) for s in sorts]
+        spaces = [list(itertools.product([False, True], repeat=len(e)))
+                  for e in per_sort]
+        seen = set()
+        for mask in itertools.product(*spaces):
+            subset = {s: {a for a, keep in zip(per_sort[i], mask[i]) if keep}
+                      for i, s in enumerate(sorts)}
+            sub, _ = closed_submodel_generated(b, subset)
+            key = tuple(tuple(sub.carrier(s)) for s in sorts)
+            if key not in seen:
+                seen.add(key)
+                yield f"{b.name}|{sub.size()}", sub
+
+
+def close_P(universe: ModelUniverse, arity_cap: int = 2) -> tuple[ModelUniverse, ClosureReport]:
+    """Add products of members up to the arity cap (including the empty
+    product); oversized products are skipped and reported."""
+    return universe.grow(_products(universe.theory.signature, universe.models,
+                                   arity_cap, universe.size_cap))
+
+
 def close_Scl(universe: ModelUniverse) -> tuple[ModelUniverse, ClosureReport]:
     """Add every closed submodel of every member; members too large for
     subset enumeration are skipped and reported."""
-    added, skipped = [], []
-    new = list(universe.models)
-    for m in universe.models:
-        if m.size() > SUBMODEL_ENUM_CAP:
-            skipped.append(m.name)
-            continue
-        for sub in _all_closed_submodels(m):
-            if not any(find_iso(sub, n) for n in new):
-                new.append(sub)
-                added.append(f"{m.name}|{sub.size()}")
-    return (ModelUniverse(universe.theory, new, universe.size_cap),
-            ClosureReport(tuple(added), tuple(skipped)))
+    return universe.grow(_closed_submodels(universe.models))
 
 
 def _retract_exists(m: PartialStructure, n: PartialStructure,
@@ -237,16 +267,9 @@ def close_R(universe: ModelUniverse, pool,
             u_hom: Callable[[Homomorphism], Homomorphism] | None = None
             ) -> tuple[ModelUniverse, ClosureReport]:
     """Add pool members that are (U-)retracts of universe members."""
-    added = []
-    new = list(universe.models)
-    for n in pool:
-        if any(find_iso(n, m) for m in new):
-            continue
-        if any(_retract_exists(m, n, u_hom) for m in universe.models):
-            new.append(n)
-            added.append(n.name)
-    return (ModelUniverse(universe.theory, new, universe.size_cap),
-            ClosureReport(tuple(added)))
+    return universe.grow(
+        (n.name, n) for n in pool if not universe.contains_iso(n) and
+        any(_retract_exists(m, n, u_hom) for m in universe.models))
 
 
 @dataclass(frozen=True)
@@ -266,40 +289,32 @@ def hsp_closure(universe: ModelUniverse, pool, arity_cap: int = 2,
     after_p, rp = close_P(universe, arity_cap)
     after_s, rs = close_Scl(after_p)
     after_r, rr = close_R(after_s, pool, u_hom)
-    witnesses = _pool_growth_witnesses(after_r, pool, arity_cap, u_hom)
+    witnesses = _pool_growth_witnesses(after_r, rr.added, pool, arity_cap, u_hom)
     report = HspReport(rp.added, rs.added, rr.added,
                        rp.skipped + rs.skipped, not witnesses, witnesses)
     return after_r, report
 
 
-def _pool_growth_witnesses(closure: ModelUniverse, pool, arity_cap: int,
-                           u_hom) -> tuple[str, ...]:
+def _pool_growth_witnesses(closure: ModelUniverse, r_added, pool,
+                           arity_cap: int, u_hom) -> tuple[str, ...]:
     """Pool members outside the closure that one more operator application
-    would reach: products kept small enough to matter, closed submodels of
-    enumerable members, and retracts."""
-    sig = closure.theory.signature
+    would reach as a small product, a closed submodel or a retract.  Only
+    the members named in r_added, which the retract step added, have their
+    closed submodels enumerated: any other member went through the submodel
+    step or is a closed submodel of one that did, so its closed submodels
+    are in the closure up to iso already."""
     missing = [n for n in pool if not closure.contains_iso(n)]
     if not missing:
         return ()
     max_pool = max(n.size() for n in pool)
-    reachable: list[PartialStructure] = []
-    for k in range(arity_cap + 1):
-        for combo in itertools.combinations_with_replacement(closure.models, k):
-            try:
-                reachable.append(product(sig, list(combo), cap=max_pool + 1))
-            except SemanticsError:
-                continue
-    for m in closure.models:
-        if m.size() <= SUBMODEL_ENUM_CAP:
-            reachable.extend(_all_closed_submodels(m))
-    out = []
-    for n in missing:
-        hit = any(find_iso(n, r) for r in reachable if r.size() == n.size())
-        if not hit:
-            hit = any(_retract_exists(m, n, u_hom) for m in closure.models)
-        if hit:
-            out.append(n.name)
-    return tuple(out)
+    candidates = itertools.chain(
+        _products(closure.theory.signature, closure.models, arity_cap,
+                  max_pool + 1),
+        _closed_submodels(m for m in closure.models if m.name in r_added))
+    reached = _index(m for _, m in candidates if m is not None)
+    return tuple(n.name for n in missing
+                 if _has_iso(reached, n) or
+                 any(_retract_exists(m, n, u_hom) for m in closure.models))
 
 
 # ---------------------------------------------------------------------------
@@ -339,47 +354,37 @@ def definability_check(theory: Theory, judgments, pool, depth: int = 4,
             raise BirkhoffError(f"duplicate pool model name '{m.name}'")
         by_name[m.name] = m
     max_pool = max((m.size() for m in pool), default=0)
-    members = [m for m in pool
-               if all(holds(m, j.sequent).ok for j in judgments)]
-    universe = ModelUniverse(theory, members, size_cap)
-
-    failures: list[str] = []
-    insufficiency: list[str] = []
 
     def violates(m):
         return not all(holds(m, j.sequent).ok for j in judgments)
 
+    universe = ModelUniverse(theory, [m for m in pool if not violates(m)],
+                             size_cap)
+    failures: list[str] = []
+    insufficiency: list[str] = []
     after_p, rp = close_P(universe, arity_cap)
     insufficiency.extend(f"product skipped: {x}" for x in rp.skipped)
-    for m in after_p.models:
-        if violates(m):
-            failures.append(m.name)
+    failures.extend(m.name for m in after_p.models if violates(m))
 
-    retained = list(after_p.models)
-    for m in after_p.models:
-        if m.size() > SUBMODEL_ENUM_CAP:
-            insufficiency.append(f"submodels not enumerated: {m.name}")
-            continue
-        for sub in _all_closed_submodels(m):
-            if violates(sub):
-                failures.append(f"{m.name}|{sub.size()}")
-            if sub.size() > max_pool:
-                continue
-            if not any(find_iso(sub, x) for x in retained):
-                retained.append(sub)
-    after_s = ModelUniverse(theory, retained, size_cap)
+    def judged(candidates):
+        """Judge every closed submodel; keep those no larger than the pool."""
+        for label, sub in candidates:
+            if sub is not None and violates(sub):
+                failures.append(label)
+            if sub is None or sub.size() <= max_pool:
+                yield label, sub
+
+    after_s, rs = after_p.grow(judged(_closed_submodels(after_p.models)))
+    insufficiency.extend(f"submodels not enumerated: {x}" for x in rs.skipped)
     closed, rr = close_R(after_s, pool, u_hom)
-    for name in rr.added:
-        if violates(by_name[name]):
-            failures.append(name)
-    witnesses = _pool_growth_witnesses(closed, pool, arity_cap, u_hom)
+    failures.extend(name for name in rr.added if violates(by_name[name]))
+    witnesses = _pool_growth_witnesses(closed, rr.added, pool, arity_cap, u_hom)
     failures.extend(w for w in witnesses if violates(by_name[w]))
-    for m in closed.models:
-        if not any(find_iso(m, n) for n in pool):
-            insufficiency.append(f"outside pool: {m.name}")
+    pool_index = _index(pool)
+    insufficiency.extend(f"outside pool: {m.name}" for m in closed.models
+                         if not _has_iso(pool_index, m))
 
-    orth_failures = []
-    orth_skipped = []
+    orth_failures, orth_skipped = [], []
     for j in judgments:
         seq = j.sequent
         p_prem = representing_model(theory, seq.context, seq.premise, depth)
@@ -389,7 +394,7 @@ def definability_check(theory: Theory, judgments, pool, depth: int = 4,
             orth_skipped.append(f"{j.name}: presentation truncated at depth {depth}")
             continue
         e = repn_morphism(p_prem, p_both,
-                          [v for v in _generic_vars(p_prem)]).hom
+                          [Var(n) for n in p_prem.context.names]).hom
         for m in pool:
             if holds(m, seq).ok != orthogonal(m, e):
                 orth_failures.append(f"{j.name} vs {m.name}")
@@ -401,11 +406,6 @@ def definability_check(theory: Theory, judgments, pool, depth: int = 4,
         orthogonality_ok=not orth_failures,
         orthogonality_failures=tuple(orth_failures),
         orthogonality_skipped=tuple(orth_skipped))
-
-
-def _generic_vars(p):
-    from .syntax import Var
-    return [Var(n) for n in p.context.names]
 
 
 # ---------------------------------------------------------------------------
@@ -514,23 +514,19 @@ def component_diagram(universe: ModelUniverse) -> FiniteCategory:
     """The thin hom-existence category of a universe: at most one arrow per
     ordered pair, present when some homomorphism exists."""
     models = sorted(universe.models, key=fingerprint)
-    names = []
-    seen = set()
+    names: list[str] = []
     for m in models:
-        base = m.name
-        k = 0
-        name = base
-        while name in seen:
+        name, k = m.name, 0
+        while name in names:
             k += 1
-            name = f"{base}_{k}"
-        seen.add(name)
+            name = f"{m.name}_{k}"
         names.append(name)
     by_name = dict(zip(names, models))
     arrows: dict[str, tuple[str, str]] = {}
     exists: dict[tuple[str, str], str] = {}
     for a in names:
         for b in names:
-            if a == b or enumerate_homs(by_name[a], by_name[b]):
+            if a == b or exists_hom(by_name[a], by_name[b]) is not None:
                 arrow = f"{a}__{b}"
                 arrows[arrow] = (a, b)
                 exists[(a, b)] = arrow

@@ -1,11 +1,19 @@
+import itertools
+import random
+
 import pytest
 
+from phl import birkhoff
 from phl.birkhoff import (
-    BirkhoffError, ComponentPoset, FiniteCategory, ModelUniverse, acc_report,
-    close_P, close_R, close_Scl, component_diagram, definability_check,
-    find_iso, hsp_closure, iso_collapse, make_finite_category, posetification,
+    SUBMODEL_ENUM_CAP, BirkhoffError, ComponentPoset, FiniteCategory,
+    ModelUniverse, acc_report, close_P, close_R, close_Scl, component_diagram,
+    definability_check, find_iso, hsp_closure, iso_collapse,
+    make_finite_category, posetification,
 )
-from phl.semantics import enumerate_models, holds, make_structure
+from phl.morphology import closed_submodel_generated
+from phl.semantics import (
+    SemanticsError, enumerate_models, holds, make_structure, product,
+)
 from phl.syntax import NamedAxiom, parse_sequent
 from phl.theories import (
     antichain_poset, chain_poset, mon_inv_theory, mon_theory, pos_theory,
@@ -45,6 +53,161 @@ class TestIso:
         models = [chain_poset(2, "ab"), chain_poset(2, "uv"),
                   antichain_poset(2)]
         assert len(iso_collapse(models)) == 2
+
+
+def relabelled(m, rng, name):
+    """A copy of m under a random renaming of its elements, with its
+    carriers listed in a random order."""
+    sig = m.signature
+    ren = {s: dict(zip(m.carrier(s), rng.sample(
+        [f"r{i}" for i in range(len(m.carrier(s)))], len(m.carrier(s)))))
+        for s in sig.sorts}
+    funcs = {f.name: {tuple(ren[t][a] for a, t in zip(args, f.arg_sorts)):
+                      ren[f.result][v] for args, v in m.func_table(f.name).items()}
+             for f in sig.functions}
+    rels = {r.name: [tuple(ren[t][a] for a, t in zip(args, r.arg_sorts))
+                     for args in m.rel_table(r.name)]
+            for r in sig.relations}
+    carriers = {s: rng.sample(list(ren[s].values()), len(ren[s]))
+                for s in sig.sorts}
+    return make_structure(name, sig, carriers, funcs, rels)
+
+
+def reference_collapse(models):
+    """The first model of each iso class by a pairwise find_iso scan, in the
+    order of (size, carrier sizes, table sizes, name)."""
+    def order(m):
+        sizes = tuple(len(m.carrier(s)) for s in m.signature.sorts)
+        return (sum(sizes), sizes,
+                tuple(len(m.func_table(f.name)) for f in m.signature.functions),
+                tuple(len(m.rel_table(r.name)) for r in m.signature.relations),
+                m.name)
+    out = []
+    for m in sorted(models, key=order):
+        if all(find_iso(m, n) is None for n in out):
+            out.append(m)
+    return out
+
+
+class TestIsoIndex:
+    """The iso_key-bucketed dedup against a pairwise find_iso scan."""
+
+    @pytest.mark.parametrize("theory", [preorder_theory(), mon_inv_theory()],
+                             ids=["preord", "mon_inv"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_collapse_and_contains_match_pairwise_scan(self, theory, seed):
+        rng = random.Random(seed)
+        models = list(enumerate_models(theory, 3))
+        copies = [relabelled(m, rng, f"{rng.choice('AMZ')}{i}")
+                  for i, m in enumerate(rng.sample(models, len(models) // 2))]
+        mixed = models + copies
+        rng.shuffle(mixed)
+        reps = reference_collapse(mixed)
+        assert [m.name for m in iso_collapse(mixed)] == [m.name for m in reps]
+        assert len(reps) < len(models)   # the input has iso duplicates
+        sample = rng.sample(mixed, len(mixed) // 3)
+        u = ModelUniverse(theory, sample)
+        assert [m.name for m in u.models] == \
+            [m.name for m in reference_collapse(sample)]
+        for m in mixed:
+            assert u.contains_iso(m) == any(
+                find_iso(m, n) is not None for n in u.models), m.name
+
+
+def reference_witnesses(closure, pool, arity_cap, u_hom=None):
+    """The exhaustive witness search: products capped at the largest pool
+    member + 1, closed submodels of every enumerable closure member, and
+    retracts, each compared with every missing pool member of its size."""
+    sig = closure.theory.signature
+    missing = [n for n in pool
+               if all(find_iso(n, m) is None for m in closure.models)]
+    if not missing:
+        return ()
+    max_pool = max(n.size() for n in pool)
+    reachable = []
+    for k in range(arity_cap + 1):
+        for combo in itertools.combinations_with_replacement(closure.models, k):
+            try:
+                reachable.append(product(sig, list(combo), cap=max_pool + 1))
+            except SemanticsError:
+                continue
+    for m in closure.models:
+        if m.size() > SUBMODEL_ENUM_CAP:
+            continue
+        elems = [(s, a) for s in sig.sorts for a in m.carrier(s)]
+        for mask in itertools.product([False, True], repeat=len(elems)):
+            subset = {s: set() for s in sig.sorts}
+            for (s, a), keep in zip(elems, mask):
+                if keep:
+                    subset[s].add(a)
+            reachable.append(closed_submodel_generated(m, subset)[0])
+    return tuple(
+        n.name for n in missing
+        if any(find_iso(n, r) is not None for r in reachable
+               if r.size() == n.size())
+        or any(birkhoff._retract_exists(m, n, u_hom) for m in closure.models))
+
+
+def hsp_cases():
+    """(universe, pool) pairs: ten universes sampled from the preorders up
+    to size 2 the way criterion 7 samples its universes, the TestHsp
+    set-ups, and a 16-element member, too large for subset enumeration,
+    whose retracts close_R adds."""
+    pre, pos = preorder_theory(), pos_theory()
+    pool = list(enumerate_models(pre, 2))
+    rng = random.Random(77)
+    for _ in range(10):
+        yield ModelUniverse(pre, rng.sample(pool, rng.randint(1, 4)), 40), pool
+    posets = [m for m in pool if holds(m, pos.axiom("antisym").sequent).ok]
+    yield ModelUniverse(pre, posets, 30), pool
+    yield ModelUniverse(pre, [m for m in posets if m.size() > 0], 30), pool
+    pool3 = list(enumerate_models(pos, 3))
+    yield ModelUniverse(pos, [m for m in pool3 if m.size() <= 2], 30), pool3
+    c2, c4 = chain_poset(2), chain_poset(4)
+    grid = product(pos.signature, [c2, c2], name="grid")
+    yield (ModelUniverse(pos, [product(pos.signature, [c4, c4])]),
+           list(enumerate_models(pos, 2)) + [grid])
+
+
+class TestWitnessSearch:
+    """Closed submodels are enumerated only for members close_R added; the
+    witnesses must equal those of the exhaustive search."""
+
+    def test_hsp_witnesses_match_exhaustive_search(self):
+        r_added = witnessed = 0
+        for u, pool in hsp_cases():
+            closed, rep = hsp_closure(u, pool, 2)
+            assert rep.growth_witnesses == reference_witnesses(closed, pool, 2)
+            assert rep.second_pass_stable == (not rep.growth_witnesses)
+            r_added += bool(rep.r_added)
+            witnessed += bool(rep.growth_witnesses)
+        assert r_added and witnessed
+
+    def test_grid_reached_through_retract_step(self):
+        *_, (u, pool) = hsp_cases()
+        closed, rep = hsp_closure(u, pool, 2)
+        # the two-element chain and the grid are retracts of the 16-element
+        # member; the two-element antichain (M2) is a closed submodel of the
+        # grid, and neither a product nor a retract of any member
+        assert rep.r_added == ("M3", "grid")
+        assert rep.growth_witnesses == ("M2",)
+
+    @pytest.mark.parametrize("theory, judgment, size, depth, cap", [
+        (preorder_theory(), "[x:*, y:*] leq(x,y) /\\ leq(y,x) |- x = y", 3, 2, 30),
+        (preorder_theory(), "[x:*, y:*] leq(x,y) |- leq(y,x)", 2, 2, 30),
+        (mon_inv_theory(), "[x:*] true |- def(inv(x))", 3, 3, 20),
+    ], ids=["antisym", "sym", "inv_total"])
+    def test_definability_report_matches_exhaustive_search(
+            self, monkeypatch, theory, judgment, size, depth, cap):
+        j = NamedAxiom("j", parse_sequent(judgment, theory.signature))
+        pool = list(enumerate_models(theory, size))
+        rep = definability_check(theory, [j], pool, depth=depth, size_cap=cap)
+        monkeypatch.setattr(
+            birkhoff, "_pool_growth_witnesses",
+            lambda closure, _r, pool, arity, u_hom:
+                reference_witnesses(closure, pool, arity, u_hom))
+        assert definability_check(theory, [j], pool, depth=depth,
+                                  size_cap=cap) == rep
 
 
 class TestClosureOperators:
