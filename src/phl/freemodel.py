@@ -11,6 +11,7 @@ quotient structure is the exact representing model.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,6 +28,12 @@ from .syntax import (
 
 class FreeModelError(PhlError):
     pass
+
+
+# A trace event names the axiom whose instance caused a merge or a new fact,
+# with the classes the instance bound to its context ("premise", () for the
+# constraint a graph is seeded with).
+TraceEvent = tuple[str, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -58,7 +65,7 @@ class TermGraph:
         self.parents_of: dict[int, set[int]] = {}
         self.class_depth: dict[int, int] = {}
         self.facts: set[tuple[str, tuple[int, ...]]] = set()
-        self.trace: list[str] = []
+        self.trace: list[TraceEvent] = []
         self.vars: dict[str, int] = {}
         self.n_classes = 0
 
@@ -68,11 +75,10 @@ class TermGraph:
             i = self.parent[i]
         return i
 
-    def merge(self, a: int, b: int, reason: str = "") -> bool:
+    def merge(self, a: int, b: int, event: TraceEvent) -> bool:
         if self.find(a) == self.find(b):
             return False
-        if reason:
-            self.trace.append(reason)
+        self.trace.append(event)
         queue = [(a, b)]
         while queue:
             x, y = queue.pop()
@@ -151,11 +157,13 @@ class TermGraph:
                 vals[out] = self.find(i)
         return True
 
-    def write(self, atoms, vals: list, cap: int | None, reason: str = "") -> bool:
+    def write(self, atoms, vals: list, cap: int | None, event: TraceEvent) -> bool:
         """Drive flat conclusion atoms into the graph, creating nodes up to
-        the depth cap; True if some atom was deferred for exceeding it.  A
-        top-level term stops at its first deferred subterm."""
-        find, table = self.find, self.table
+        the depth cap and recording `event` for every merge or fact added;
+        True if some atom was deferred for exceeding the cap.  A top-level
+        term stops at its first deferred subterm."""
+        find, table, parent = self.find, self.table, self.parent
+        depth_of = self.class_depth.__getitem__
         deferred = stopped = False
         for kind, name, args, out in atoms:
             if kind == EQ:
@@ -163,26 +171,39 @@ class TermGraph:
                 if a is None or b is None:
                     deferred = True
                 elif find(a) != find(b):
-                    self.merge(a, b, reason)
+                    self.merge(a, b, event)
                 continue
             if kind == REL:
                 classes = [vals[s] for s in args]
                 if None in classes:
                     deferred = True
                 else:
-                    self.add_fact(name, classes, reason)
+                    key = (name, tuple(map(find, classes)))
+                    if key not in self.facts:   # merge rebinds self.facts
+                        self.facts.add(key)
+                        self.trace.append(event)
                 continue
             if kind == TERM:
                 stopped = False
             if stopped:
                 vals[out] = None
                 continue
-            kids = tuple([find(vals[s]) for s in args])
+            kids = []
+            for c in args:
+                c = vals[c]
+                while parent[c] != c:   # find, inlined
+                    parent[c] = parent[parent[c]]
+                    c = parent[c]
+                kids.append(c)
+            kids = tuple(kids)
             i = table.get((name, kids))
             if i is not None:
-                vals[out] = find(i)
+                while parent[i] != i:
+                    parent[i] = parent[parent[i]]
+                    i = parent[i]
+                vals[out] = i
                 continue
-            d = 1 + max((self.class_depth[k] for k in kids), default=0)
+            d = 1 + max(map(depth_of, kids), default=0)
             if cap is not None and d > cap:
                 vals[out] = None
                 stopped = True
@@ -198,15 +219,6 @@ class TermGraph:
         if not self.read(clause.premise, vals):
             return None
         return vals[clause.terms.index(term)]
-
-    def add_fact(self, rel: str, classes: tuple[int, ...], reason: str = "") -> bool:
-        key = (rel, tuple(self.find(c) for c in classes))
-        if key in self.facts:
-            return False
-        self.facts.add(key)
-        if reason:
-            self.trace.append(reason)
-        return True
 
     def stamp(self) -> tuple[int, int, int]:
         return (len(self.parent), self.n_classes, len(self.facts))
@@ -287,11 +299,11 @@ def holds_in_graph(g: TermGraph, f: Formula, env: dict[str, int]) -> bool:
 
 
 def assert_in_graph(g: TermGraph, f: Formula, env: dict[str, int],
-                    cap: int | None, reason: str = "") -> bool:
+                    cap: int | None, event: TraceEvent) -> bool:
     """Drive a formula instance into the graph; True if some atom was
     deferred for exceeding the depth budget."""
     clause = flatten(tuple(env), TRUE, f)
-    return g.write(clause.conclusion, _slots(g, clause, env), cap, reason)
+    return g.write(clause.conclusion, _slots(g, clause, env), cap, event)
 
 
 DEFAULT_WORK_BUDGET = 500_000
@@ -304,57 +316,81 @@ class WorkBudget:
         self.remaining = limit
         self.exhausted = False
 
-    def spend(self, n: int = 1) -> bool:
-        self.remaining -= n
-        if self.remaining < 0:
-            self.exhausted = True
-        return not self.exhausted
-
 
 def saturation_pass(theory: Theory, g: TermGraph, cap: int | None,
                     budget: WorkBudget | None = None) -> tuple[bool, bool]:
     """One full pass of axiom instantiation; returns (changed, deferred).
 
-    Environments range over the classes canonical at the start of the pass;
-    classes absorbed mid-pass are skipped (their instances are covered at the
-    absorbing class, which is always the older one).  An exhausted work
-    budget aborts the pass and counts as a deferral."""
+    Environments range over the classes canonical at the start of the pass,
+    axiom by axiom in `itertools.product` order; classes absorbed mid-pass
+    are skipped (their instances are covered at the absorbing class, which
+    is always the older one).  Every environment, skipped or not, spends one
+    unit of the work budget.  The first environment beyond the budget
+    aborts the pass, which then counts as a deferral: `budget.remaining`
+    drops by the environments tried plus the aborting one and
+    `budget.exhausted` is set."""
     before = g.stamp()
     deferred = False
     classes = g.classes_by_sort()
+    starting = [c for cs in classes.values() for c in cs]
+    parent, read, write = g.parent, g.read, g.write
+    absorbed: set[int] = set()      # members of `starting` absorbed so far
+    merges = len(parent) - g.n_classes    # absorbed nodes, counted to spot a merge
+    left = math.inf if budget is None else budget.remaining
     for ax in theory.axioms:
         seq = ax.sequent
         clause = flatten(seq.context.names, seq.premise, seq.conclusion)
+        premise, conclusion, name = clause.premise, clause.conclusion, ax.name
         pad = [None] * (len(clause.terms) - len(seq.context))
-        for combo in itertools.product(*(classes[s] for _, s in seq.context.vars)):
-            if budget is not None and not budget.spend():
-                return g.stamp() != before, True
-            if any(g.find(c) != c for c in combo):
+        pools = [classes[s] for _, s in seq.context.vars]
+        combos = itertools.product(*pools)
+        n = math.prod(map(len, pools))
+        allowed = max(left, 0)
+        abort = n > allowed
+        if abort:
+            combos = itertools.islice(combos, allowed)
+        else:
+            left -= n
+        for combo in combos:
+            if absorbed and not absorbed.isdisjoint(combo):
                 continue
             vals = [*combo, *pad]
-            if g.read(clause.premise, vals):
-                reason = f"{ax.name}@{combo}"
-                deferred |= g.write(clause.conclusion, vals, cap, reason)
+            if premise and not read(premise, vals):
+                continue
+            deferred |= write(conclusion, vals, cap, (name, combo))
+            if len(parent) - g.n_classes != merges:
+                merges = len(parent) - g.n_classes
+                absorbed = {c for c in starting if parent[c] != c}
+        if abort:
+            budget.remaining = left - allowed - 1
+            budget.exhausted = True
+            return g.stamp() != before, True
+    if budget is not None:
+        budget.remaining = left
     return g.stamp() != before, deferred
 
 
 def saturate(theory: Theory, ctx: Context, constraint: Formula, depth: int,
              goal: Formula | None = None,
-             max_work: int = DEFAULT_WORK_BUDGET) -> tuple[TermGraph, bool, bool, bool]:
+             max_work: int | None = None) -> tuple[TermGraph, bool, bool, bool]:
     """Saturate the term graph of a constrained context.
 
     Returns (graph, saturated, work budget exhausted, goal reached).  The
     constraint is seeded without a budget, so terms occurring in it always
     materialize.  When a goal formula is supplied, saturation stops as soon
     as the generic tuple provably satisfies it (sound: derived facts only
-    grow).  The work budget bounds total axiom instantiations; exhausting it
-    yields a truncated result.
+    grow).  The work budget bounds total axiom instantiations (None selects
+    DEFAULT_WORK_BUDGET); exhausting it yields a truncated result.
     """
     if depth < 0:
         raise FreeModelError("depth must be >= 0")
+    if max_work is None:
+        max_work = DEFAULT_WORK_BUDGET
+    elif max_work < 0:
+        raise FreeModelError("work budget must be >= 0")
     g = TermGraph(theory.signature)
     env = {name: g.add_var(name, sort) for name, sort in ctx.vars}
-    assert_in_graph(g, constraint, env, None, "premise")
+    assert_in_graph(g, constraint, env, None, ("premise", ()))
     cap = max([depth] + list(g.class_depth.values()))
     budget = WorkBudget(max_work)
 
@@ -448,7 +484,7 @@ class ModelPresentation:
 
 def representing_model(theory: Theory, ctx: Context, constraint: Formula,
                        depth: int,
-                       max_work: int = DEFAULT_WORK_BUDGET) -> ModelPresentation:
+                       max_work: int | None = None) -> ModelPresentation:
     """The representing model of a constrained context, built to a depth."""
     diags = well_formed(constraint, theory.signature, ctx)
     if diags:

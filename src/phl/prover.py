@@ -8,7 +8,10 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .freemodel import ModelPresentation, SaturationStatus, saturate, holds_in_graph
+from .freemodel import (
+    DEFAULT_WORK_BUDGET, ModelPresentation, SaturationStatus, TraceEvent,
+    holds_in_graph, saturate,
+)
 from .semantics import PartialStructure, enumerate_models, formula_holds_at, \
     interp_formula
 from .syntax import (
@@ -316,7 +319,7 @@ def check_derivation(theory: Theory, d: Derivation) -> DerivationCheck:
 
 @dataclass(frozen=True)
 class Proved:
-    trace: tuple[str, ...]
+    trace: tuple[TraceEvent, ...]
     status: SaturationStatus
     derivation: Derivation | None = None
 
@@ -349,7 +352,8 @@ def prove(theory: Theory, seq: Sequent, depth: int = 4, model_size: int = 4,
     Proved when saturating the representing model of the premise to the given
     depth puts the generic tuple inside the conclusion; Refuted by the
     saturated term model itself or by an enumerated finite countermodel;
-    Unknown otherwise.
+    Unknown otherwise.  `max_work` bounds the axiom instances saturation
+    tries (None selects DEFAULT_WORK_BUDGET; a negative budget raises).
     """
     if depth < 0:
         raise PhlError("depth budget must be >= 0")
@@ -358,8 +362,8 @@ def prove(theory: Theory, seq: Sequent, depth: int = 4, model_size: int = 4,
     diags = well_formed(seq, theory.signature)
     if diags:
         raise PhlError("ill-formed sequent: " + "; ".join(map(str, diags)))
-    from .freemodel import DEFAULT_WORK_BUDGET
-    max_work = max_work or DEFAULT_WORK_BUDGET
+    if max_work is None:
+        max_work = DEFAULT_WORK_BUDGET
     g, saturated, exhausted, reached = saturate(theory, seq.context, seq.premise,
                                                 depth, goal=seq.conclusion,
                                                 max_work=max_work)

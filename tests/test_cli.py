@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +118,15 @@ class TestProve:
     def test_usage_error_exit_10(self, files, capsys):
         code, _, err = run(capsys, "prove", files / "pos.phl")
         assert code == 10
+
+    def test_trace_length(self, capsys):
+        # one trace event per merge or fact saturation adds
+        data = Path(__file__).resolve().parent.parent / "data"
+        code, out, _ = run(capsys, "prove", data / "pos.phl",
+                           "[x:*, y:*, z:*] leq(x,y) /\\ leq(y,z) |- leq(x,z)",
+                           "--json")
+        assert code == 0
+        assert json.loads(out)["trace_length"] == 6
 
     def test_depth_env_override(self, files, capsys, monkeypatch):
         monkeypatch.setenv("PHL_BUDGET_DEPTH", "2")

@@ -1,18 +1,26 @@
+import functools
 import itertools
+import random
 
 import pytest
 
+from phl import freemodel
 from phl.freemodel import (
-    FreeModelError, free_algebra, repn_coequalizer, repn_morphism,
-    representing_model, yoneda_check,
+    FreeModelError, TermGraph, WorkBudget, assert_in_graph, free_algebra,
+    repn_coequalizer, repn_morphism, representing_model, saturate,
+    saturation_pass, yoneda_check,
 )
+from phl.sampling import random_sequent
 from phl.semantics import check_hom, enumerate_homs, enumerate_models, \
     interp_formula, is_model, make_structure
 from phl.syntax import (
-    App, Context, Eq, NamedAxiom, RelApp, Sequent, TRUE, Var, conj, defined,
-    parse_formula_in_context, parse_sequent, term_depth,
+    EQ, REL, TERM, App, Context, Eq, NamedAxiom, RelApp, Sequent, TRUE, Var,
+    conj, defined, flatten, parse_formula_in_context, parse_sequent,
+    parse_theory, term_depth,
 )
-from phl.theories import chain_poset, mon_theory, pos_theory, set_theory
+from phl.theories import (
+    cat_theory, chain_poset, mon_theory, pos_theory, preorder_theory, set_theory,
+)
 from phl.translation import RelOperator, make_relative_theory
 
 
@@ -86,6 +94,29 @@ class TestRepresentingModel:
         with pytest.raises(FreeModelError):
             pres(pos, "[x:*] true", -1)
 
+    def test_negative_work_budget_rejected(self, pos):
+        ctx, phi = parse_formula_in_context("[x:*] true", pos.signature)
+        with pytest.raises(FreeModelError, match="work budget"):
+            saturate(pos, ctx, phi, 1, max_work=-1)
+        with pytest.raises(FreeModelError, match="work budget"):
+            representing_model(pos, ctx, phi, 1, max_work=-1)
+
+    def test_zero_work_budget_does_no_work(self, pos):
+        ctx, phi = parse_formula_in_context("[x:*, y:*] leq(x,y)", pos.signature)
+        g, saturated, exhausted, reached = saturate(pos, ctx, phi, 2, max_work=0)
+        assert (saturated, exhausted, reached) == (False, True, False)
+        assert g.stamp() == (2, 2, 1) and g.trace == [("premise", ())]
+        p = representing_model(pos, ctx, phi, 2, max_work=0)
+        assert not p.status.saturated
+
+    def test_no_work_budget_selects_the_default(self, mon, monkeypatch):
+        ctx, phi = parse_formula_in_context("[x:*] true", mon.signature)
+        _, _, exhausted, _ = saturate(mon, ctx, phi, 2, max_work=None)
+        assert not exhausted
+        monkeypatch.setattr(freemodel, "DEFAULT_WORK_BUDGET", 100)
+        _, _, exhausted, _ = saturate(mon, ctx, phi, 2, max_work=None)
+        assert exhausted
+
     def test_saturation_idempotent(self, pos):
         p1 = pres(pos, "[x:*, y:*] leq(x,y)", 1)
         p2 = pres(pos, "[x:*, y:*] leq(x,y)", 2)
@@ -98,6 +129,158 @@ class TestRepresentingModel:
         carriers = set(p.structure.carrier("*"))
         for args, val in p.structure.func_table("mul").items():
             assert set(args) <= carriers and val in carriers
+
+
+# `saturation_pass` and `TermGraph.write` as they were before the instance
+# loop was tightened: one budget check, one canonical-class check and one
+# `find` per child for every instance.  The tightened loop must try the same
+# instances in the same order and leave the same graph, trace and budget.
+
+def reference_write(g, atoms, vals, cap, event):
+    find, table = g.find, g.table
+    deferred = stopped = False
+    for kind, name, args, out in atoms:
+        if kind == EQ:
+            a, b = vals[args[0]], vals[args[1]]
+            if a is None or b is None:
+                deferred = True
+            elif find(a) != find(b):
+                g.merge(a, b, event)
+            continue
+        if kind == REL:
+            classes = [vals[s] for s in args]
+            if None in classes:
+                deferred = True
+            else:
+                key = (name, tuple(find(c) for c in classes))
+                if key not in g.facts:
+                    g.facts.add(key)
+                    g.trace.append(event)
+            continue
+        if kind == TERM:
+            stopped = False
+        if stopped:
+            vals[out] = None
+            continue
+        kids = tuple([find(vals[s]) for s in args])
+        i = table.get((name, kids))
+        if i is not None:
+            vals[out] = find(i)
+            continue
+        d = 1 + max((g.class_depth[k] for k in kids), default=0)
+        if cap is not None and d > cap:
+            vals[out] = None
+            stopped = True
+        else:
+            vals[out] = g._add_node(name, None, kids,
+                                    g.sig.function(name).result, d)
+    return deferred
+
+
+def reference_spend(budget):
+    budget.remaining -= 1
+    if budget.remaining < 0:
+        budget.exhausted = True
+    return not budget.exhausted
+
+
+def reference_pass(theory, g, cap, budget, skipped):
+    before = g.stamp()
+    deferred = False
+    classes = g.classes_by_sort()
+    for ax in theory.axioms:
+        seq = ax.sequent
+        clause = flatten(seq.context.names, seq.premise, seq.conclusion)
+        pad = [None] * (len(clause.terms) - len(seq.context))
+        for combo in itertools.product(*(classes[s] for _, s in seq.context.vars)):
+            if not reference_spend(budget):
+                return g.stamp() != before, True
+            if any(g.find(c) != c for c in combo):
+                skipped.append(combo)
+                continue
+            vals = [*combo, *pad]
+            if g.read(clause.premise, vals):
+                deferred |= reference_write(g, clause.conclusion, vals, cap,
+                                            (ax.name, combo))
+    return g.stamp() != before, deferred
+
+
+def graph_state(g, budget):
+    return (g.stamp(), g.table, g.facts, g.class_depth, g.trace,
+            budget.remaining, budget.exhausted)
+
+
+def lockstep(theory, seq, depth, max_work, skipped):
+    """Run `saturate`'s pass loop, without a goal, with both passes side by
+    side; return how the run ended."""
+    graphs, budgets = [], []
+    for _ in range(2):
+        g = TermGraph(theory.signature)
+        env = {name: g.add_var(name, sort) for name, sort in seq.context.vars}
+        assert_in_graph(g, seq.premise, env, None, ("premise", ()))
+        graphs.append(g)
+        budgets.append(WorkBudget(max_work))
+    cap = max([depth] + list(graphs[0].class_depth.values()))
+    ref = functools.partial(reference_pass, skipped=skipped)
+    passes = 0
+    while True:
+        flags = [f(theory, g, cap, b) for f, g, b in
+                 zip((ref, saturation_pass), graphs, budgets)]
+        passes += 1
+        assert flags[0] == flags[1], (seq, passes)
+        assert graph_state(graphs[0], budgets[0]) == \
+            graph_state(graphs[1], budgets[1]), (seq, passes)
+        if not flags[0][0] or budgets[0].exhausted:
+            break
+    if budgets[0].exhausted:
+        return "exhausted"
+    probes = [g.copy() for g in graphs]
+    flags = [f(theory, g, cap + 1, b) for f, g, b in
+             zip((ref, saturation_pass), probes, budgets)]
+    assert flags[0] == flags[1], (seq, "probe")
+    assert graph_state(probes[0], budgets[0]) == \
+        graph_state(probes[1], budgets[1]), (seq, "probe")
+    return "probe exhausted" if budgets[0].exhausted else "probed"
+
+
+class TestSaturationPass:
+    # mon sequents mostly spend the whole 40,000-instance budget, so fewer
+    @pytest.mark.parametrize("theory_fn, count", [
+        (pos_theory, 20), (preorder_theory, 20), (mon_theory, 6), (cat_theory, 20)])
+    def test_agrees_with_reference(self, theory_fn, count):
+        theory = theory_fn()
+        rng = random.Random(5151)
+        sequents = [random_sequent(rng, theory, max_vars=3, max_atoms=2, depth=2)
+                    for _ in range(count)]
+        endings, skipped = set(), []
+        for seq in sequents:
+            for depth in (2, 3):
+                for max_work in (1, 7, 300, 40_000):
+                    endings.add(lockstep(theory, seq, depth, max_work, skipped))
+        # some budgets ran out in the pass loop, some lasted into the probe
+        assert "exhausted" in endings and endings - {"exhausted"}
+        if theory_fn in (mon_theory, cat_theory):
+            assert skipped, "no pass skipped a class absorbed mid-pass"
+
+    def test_skips_class_absorbed_mid_pass(self):
+        # the instance at (w, k(h(w))) defers f(k(h(w))) at depth 3 and then
+        # merges k(h(w)) with j(w); run at the absorbed j(w), the next
+        # instance would create that term at the merged class's depth 2
+        theory = parse_theory("""\
+theory absorb
+sorts: a b c
+fun h : a -> b;
+fun k : b -> c;
+fun j : a -> c;
+fun f : c -> c;
+axiom glue [y:a, x:c] true |- def(f(x)) /\\ k(h(y)) = j(y);
+""")
+        ctx, phi = parse_formula_in_context("[w:a] def(k(h(w))) /\\ def(j(w))",
+                                            theory.signature)
+        skipped = []
+        assert lockstep(theory, Sequent(ctx, phi, TRUE), 2, 100, skipped) \
+            == "probed"
+        assert skipped == [(0, 3)]
 
 
 class TestYoneda:

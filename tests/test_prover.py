@@ -1,5 +1,6 @@
 import pytest
 
+from phl import prover
 from phl.prover import (
     AxiomRule, CutRule, Derivation, EConjRule, EqRule, IConjRule, IdRule,
     Proved, Refuted, ReflRule, RuleError, SEqRule, SFunRule, SRelRule,
@@ -10,7 +11,8 @@ from phl.prover import (
     parse_derivation, prove, rule_node, sequents_alpha_equal,
 )
 from phl.syntax import (
-    App, Conj, Context, Eq, NamedAxiom, RelApp, Sequent, Signature, TRUE, Var,
+    App, Conj, Context, Eq, NamedAxiom, PhlError, RelApp, Sequent, Signature,
+    TRUE, Var,
     conj, defined, parse_sequent, parse_theory, print_sequent,
 )
 from phl.theories import mon_theory, pos_theory
@@ -287,6 +289,41 @@ class TestProve:
         seq = parse_sequent("[x:*] true |- leq(x,x)", pos.signature)
         with pytest.raises(Exception):
             prove(pos, seq, depth=-1)
+        with pytest.raises(PhlError, match="work budget"):
+            prove(pos, seq, max_work=-1)
+
+    def test_zero_work_budget_does_no_work(self, pos):
+        seq = parse_sequent("[x:*, y:*, z:*] leq(x,y) /\\ leq(y,z) |- leq(x,z)",
+                            pos.signature)
+        r = prove(pos, seq, depth=3, model_size=0, max_work=0)
+        assert isinstance(r, UnknownVerdict)
+        assert r.reason.startswith("work budget of 0 axiom instances exhausted")
+
+    def test_no_work_budget_selects_the_default(self, pos, monkeypatch):
+        monkeypatch.setattr(prover, "DEFAULT_WORK_BUDGET", 3)
+        seq = parse_sequent("[x:*, y:*, z:*] leq(x,y) /\\ leq(y,z) |- leq(x,z)",
+                            pos.signature)
+        r = prove(pos, seq, depth=3, model_size=0, max_work=None)
+        assert r.reason.startswith("work budget of 3 axiom instances exhausted")
+
+    def test_trace_events_name_axioms(self, pos, mon):
+        cases = [(pos, "[x:*, y:*, z:*] leq(x,y) /\\ leq(y,z) |- leq(x,z)"),
+                 (pos, "[x:*, y:*] leq(x,y) /\\ leq(y,x) |- x = y"),
+                 (mon, "[x:*, y:*] x = y |- mul(x,y) = mul(y,x)"),
+                 (mon, "[x:*] true |- mul(e,mul(x,e)) = x")]
+        for theory, text in cases:
+            r = prove(theory, parse_sequent(text, theory.signature), depth=3,
+                      model_size=0)
+            assert isinstance(r, Proved), text
+            names = {ax.name for ax in theory.axioms} | {"premise"}
+            assert r.trace, text
+            for name, classes in r.trace:
+                assert name in names, text
+                assert isinstance(classes, tuple)
+                assert all(isinstance(c, int) for c in classes)
+            # seeding the premise comes before every saturation pass
+            seeded = [name == "premise" for name, _ in r.trace]
+            assert seeded == sorted(seeded, reverse=True), text
 
     def test_derived_rules_proved_within_depth_4(self, pos, mon):
         cases = [

@@ -22,3 +22,17 @@ def test_run_definability_small():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines.count("   hsp fixed point:        yes") == 2, proc.stdout
+
+
+def test_run_soundness_sweep_small():
+    proc = run_script("run_soundness_sweep.py", "--count", "3",
+                      "--model-size", "2")
+    assert proc.returncode == 0, proc.stderr
+    tallies = [line.split("(")[0].split() for line in proc.stdout.splitlines()]
+    assert tallies == [
+        ["pos", "{'Proved':", "2,", "'Refuted':", "1,", "'Unknown':", "0}",
+         "models=5", "violations=0"],
+        ["mon", "{'Proved':", "2,", "'Refuted':", "1,", "'Unknown':", "0}",
+         "models=5", "violations=0"],
+        ["cat", "{'Proved':", "3,", "'Refuted':", "0,", "'Unknown':", "0}",
+         "models=8", "violations=0"]], proc.stdout
