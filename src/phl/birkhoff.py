@@ -289,20 +289,23 @@ def hsp_closure(universe: ModelUniverse, pool, arity_cap: int = 2,
     after_p, rp = close_P(universe, arity_cap)
     after_s, rs = close_Scl(after_p)
     after_r, rr = close_R(after_s, pool, u_hom)
-    witnesses = _pool_growth_witnesses(after_r, rr.added, pool, arity_cap, u_hom)
+    witnesses = _pool_growth_witnesses(after_r, rr.added, pool, arity_cap)
     report = HspReport(rp.added, rs.added, rr.added,
                        rp.skipped + rs.skipped, not witnesses, witnesses)
     return after_r, report
 
 
 def _pool_growth_witnesses(closure: ModelUniverse, r_added, pool,
-                           arity_cap: int, u_hom) -> tuple[str, ...]:
+                           arity_cap: int) -> tuple[str, ...]:
     """Pool members outside the closure that one more operator application
-    would reach as a small product, a closed submodel or a retract.  Only
-    the members named in r_added, which the retract step added, have their
-    closed submodels enumerated: any other member went through the submodel
-    step or is a closed submodel of one that did, so its closed submodels
-    are in the closure up to iso already."""
+    would reach as a small product or a closed submodel.  Only the members
+    named in r_added, which the retract step added, have their closed
+    submodels enumerated: any other member went through the submodel step
+    or is a closed submodel of one that did.  No retract is searched:
+    close_R found each missing pool member a (U-)retract of none of the
+    members it started from, every member it added is a (U-)retract of one
+    of those, and (U-)retractions compose (U is a functor), so the missing
+    member is a (U-)retract of no closure member either."""
     missing = [n for n in pool if not closure.contains_iso(n)]
     if not missing:
         return ()
@@ -312,9 +315,7 @@ def _pool_growth_witnesses(closure: ModelUniverse, r_added, pool,
                   max_pool + 1),
         _closed_submodels(m for m in closure.models if m.name in r_added))
     reached = _index(m for _, m in candidates if m is not None)
-    return tuple(n.name for n in missing
-                 if _has_iso(reached, n) or
-                 any(_retract_exists(m, n, u_hom) for m in closure.models))
+    return tuple(n.name for n in missing if _has_iso(reached, n))
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +379,7 @@ def definability_check(theory: Theory, judgments, pool, depth: int = 4,
     insufficiency.extend(f"submodels not enumerated: {x}" for x in rs.skipped)
     closed, rr = close_R(after_s, pool, u_hom)
     failures.extend(name for name in rr.added if violates(by_name[name]))
-    witnesses = _pool_growth_witnesses(closed, rr.added, pool, arity_cap, u_hom)
+    witnesses = _pool_growth_witnesses(closed, rr.added, pool, arity_cap)
     failures.extend(w for w in witnesses if violates(by_name[w]))
     pool_index = _index(pool)
     insufficiency.extend(f"outside pool: {m.name}" for m in closed.models

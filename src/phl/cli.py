@@ -21,8 +21,9 @@ from . import prover as pv
 from . import semantics as sm
 from . import translation as tr
 from .syntax import (
-    ParseError, PhlError, Theory, WellFormedError, parse_formula_in_context,
-    parse_sequent, parse_theory, print_formula, print_sequent, print_theory,
+    ParseError, PhlError, Theory, TokenStream, WellFormedError,
+    parse_formula_in_context, parse_sequent, parse_theory, print_formula,
+    print_sequent, print_theory,
 )
 
 EXIT_OK = 0
@@ -190,14 +191,24 @@ def cmd_factor(args) -> int:
     return EXIT_OK
 
 
+def _header_ends(text: str, keyword: str) -> tuple[str, str]:
+    """SRC and TGT from a `KEYWORD NAME : SRC -> TGT` header, read the way
+    the hom and morphism parsers read it."""
+    ts = TokenStream(text)
+    ts.expect_word(keyword)
+    ts.expect("ident")
+    ts.expect("punct", ":")
+    src = ts.expect("ident").text
+    ts.expect("arrow")
+    return src, ts.expect("ident").text
+
+
 def _models_for_hom(ws: Workspace, hom_text: str, args,
                     theory: Theory) -> dict[str, sm.PartialStructure]:
     """Resolve the models a hom file mentions: from --model flags first, then
     sibling NAME.model files."""
-    header = hom_text.strip().splitlines()[0].split()
-    wanted = [w for w in header if w not in ("hom", ":", "->")][1:]
     out = dict(ws.models)
-    for name in wanted:
+    for name in _header_ends(hom_text, "hom"):
         if name in out:
             continue
         sibling = Path(args.hom).parent / f"{name}.model"
@@ -244,9 +255,7 @@ def cmd_translate(args) -> int:
 
 
 def _autoload_theories(ws: Workspace, morph_text: str, base: Path):
-    header = morph_text.strip().splitlines()[0].split()
-    names = [w for w in header if w not in ("morphism", ":", "->")][1:]
-    for name in names:
+    for name in _header_ends(morph_text, "morphism"):
         if name in ws.theories:
             continue
         sibling = base / f"{name}.phl"

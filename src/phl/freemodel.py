@@ -607,8 +607,8 @@ class FreeAlgebraResult:
     generators: dict[str, tuple[str, str]]  # variable -> (sort, base element)
 
 
-def free_algebra(rel_theory, base_model: PartialStructure, depth: int,
-                 check_universal_to: int = 0) -> FreeAlgebraResult:
+def free_algebra(rel_theory, base_model: PartialStructure,
+                 depth: int) -> FreeAlgebraResult:
     """Free algebra on a base-theory model, as the representing model of the
     model's diagram: one generator per element, one constraint per table
     entry."""

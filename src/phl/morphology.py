@@ -3,13 +3,12 @@
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
 from .semantics import (
     Homomorphism, PartialStructure, check_hom, compose_homs, enumerate_homs,
-    exists_hom, hom_image,
+    exists_hom, hom_image, partial_hom_ok,
 )
 from .syntax import PhlError
 
@@ -30,30 +29,16 @@ def is_surjective(h: Homomorphism) -> bool:
 
 def is_closed_mono(h: Homomorphism) -> bool:
     """A monomorphism reflecting definedness of functions and membership of
-    relations on tuples from the source."""
+    relations on tuples from the source: the inverse of h, a partial map
+    from the target back to the source, preserves every table entry of the
+    target whose arguments lie in the image."""
     if not check_hom(h):
         raise MorphologyError("not a homomorphism")
     if not is_injective(h):
         raise MorphologyError("not a monomorphism")
-    m, n = h.source, h.target
-    inverse = {s: {v: k for k, v in h.maps[s].items()} for s in m.signature.sorts}
-    for f in m.signature.functions:
-        for args in itertools.product(*(m.carrier(s) for s in f.arg_sorts)):
-            im = h.apply_tuple(f.arg_sorts, args)
-            val = n.func_table(f.name).get(im)
-            if val is None:
-                continue
-            own = m.func_table(f.name).get(args)
-            if own is None:
-                return False
-            if h.apply(f.result, own) != val:
-                return False
-    for r in m.signature.relations:
-        for args in itertools.product(*(m.carrier(s) for s in r.arg_sorts)):
-            if h.apply_tuple(r.arg_sorts, args) in n.rel_table(r.name):
-                if args not in m.rel_table(r.name):
-                    return False
-    return True
+    inverse = {s: {v: k for k, v in h.maps[s].items()}
+               for s in h.source.signature.sorts}
+    return partial_hom_ok(h.target, h.source, inverse)
 
 
 def closed_submodel_generated(b: PartialStructure,

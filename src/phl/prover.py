@@ -16,10 +16,10 @@ from .semantics import PartialStructure, enumerate_models, formula_holds_at, \
     interp_formula
 from .syntax import (
     App, Conj, Context, Eq, Formula, PhlError, RelApp, Sequent, Signature, Term,
-    Theory, Truth, TRUE, Var, atoms, conj, defined, is_definedness,
-    parse_context_tokens, print_formula, print_sequent, print_term,
-    infer_sort, subst_formula, subst_term, subterms, well_formed, TokenStream,
-    _parse_formula_tokens, _parse_term_tokens,
+    Theory, Truth, TRUE, Var, atoms, conj, defined, free_vars, is_definedness,
+    parse_context_tokens, parse_sequent, print_formula, print_sequent,
+    print_term, infer_sort, subst_formula, subst_term, subterms, well_formed,
+    TokenStream, _parse_formula_tokens, _parse_term_tokens,
 )
 
 
@@ -160,7 +160,6 @@ def check_rule(instance: RuleInstance, premises: list[Sequent],
         for name, sort in prem.context.vars:
             t = assignment[name]
             _wf(sig, instance.target, t, f"replacement for {name}")
-            from .syntax import infer_sort
             got = infer_sort(sig, instance.target, t)
             _require(got == sort,
                      f"replacement for {name} has sort {got}, expected {sort}")
@@ -186,7 +185,7 @@ def check_rule(instance: RuleInstance, premises: list[Sequent],
             _require(ctx.sort_of(n) == s,
                      f"ambient context must contain {n}:{s}")
         _wf(sig, ctx, instance.formula, "Eq formula")
-        fv = {v for v in _free(instance.formula)}
+        fv = set(free_vars(instance.formula))
         _require(fv <= set(ctx.names), "Eq formula outside ambient context")
         assignment = {n: Var(n) for n in ctx.names}
         for (xn, _), (yn, _) in zip(xs.vars, ys.vars):
@@ -248,11 +247,6 @@ def check_rule(instance: RuleInstance, premises: list[Sequent],
         return Sequent(ctx, phi, concl)
 
     raise RuleError(f"unknown rule instance {instance!r}")
-
-
-def _free(f):
-    from .syntax import free_vars
-    return free_vars(f)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +584,7 @@ def derive_symmetry(sig: Signature, ctx: Context, tau: Term,
                     sigma: Term) -> Derivation:
     """tau = sigma |- sigma = tau, following the displayed equality tree:
     an Eq instance specialized by Subst, glued by strictness and Cut."""
-    sort = _sort_of(sig, ctx, tau)
+    sort = infer_sort(sig, ctx, tau)
     y0, y1, z = Var("y0"), Var("y1"), Var("z")
     inner_ctx = Context((("y0", sort), ("y1", sort), ("z", sort)))
     eq_node = rule_node(
@@ -633,7 +627,7 @@ def derive_symmetry(sig: Signature, ctx: Context, tau: Term,
 def derive_transitivity(sig: Signature, ctx: Context, tau: Term, sigma: Term,
                         rho: Term) -> Derivation:
     """tau = sigma /\\ sigma = rho |- tau = rho, per the displayed tree."""
-    sort = _sort_of(sig, ctx, tau)
+    sort = infer_sort(sig, ctx, tau)
     y0, y1, y2 = Var("y0"), Var("y1"), Var("y2")
     inner_ctx = Context((("y0", sort), ("y1", sort), ("y2", sort)))
     eq_node = rule_node(
@@ -761,20 +755,8 @@ def derive_subst_term_lemma(sig: Signature, target: Context, tau: Term,
                      (eq_node,), sig)
 
 
-def _sort_of(sig: Signature, ctx: Context, t: Term) -> str:
-    from .syntax import infer_sort
-    return infer_sort(sig, ctx, t)
-
-
 # ---------------------------------------------------------------------------
 # derivation text format
-
-_RULE_NAMES = {
-    "Axiom": AxiomRule, "Id": IdRule, "Cut": CutRule, "Subst": SubstRule,
-    "Refl": ReflRule, "Eq": EqRule, "SRel": SRelRule, "SEq": SEqRule,
-    "SFun": SFunRule, "EConj": EConjRule, "IConj": IConjRule,
-}
-
 
 def _ctx_str(ctx: Context) -> str:
     return "[" + ", ".join(f"{n}:{s}" for n, s in ctx.vars) + "]"
@@ -912,7 +894,6 @@ def parse_derivation(text: str, sig: Signature) -> Derivation:
             data = json.loads(payload) if payload.strip() else {}
         except json.JSONDecodeError as e:
             raise PhlError(f"bad rule data in derivation: {e}") from None
-        from .syntax import parse_sequent
         seq = parse_sequent(seq_text, sig)
         entries.append((indent, seq, name, data))
     if not entries:

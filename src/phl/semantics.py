@@ -7,12 +7,12 @@ here is pure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .syntax import (
     EQ, REL, App, Context, Eq, FuncDecl, PhlError, Sequent, Signature, Theory,
-    TokenStream, Truth, Var, atoms, defined, flatten, print_theory,
+    TokenStream, Truth, Var, atoms, defined, flatten,
 )
 
 UNDEF = None
@@ -225,34 +225,18 @@ class Homomorphism:
     target: PartialStructure
     maps: dict[str, dict[str, str]]
 
-    def apply(self, sort: str, elem: str) -> str:
-        return self.maps[sort][elem]
-
-    def apply_tuple(self, sorts, tup):
-        return tuple(self.maps[s][a] for s, a in zip(sorts, tup))
-
 
 def check_hom(h: Homomorphism) -> bool:
     m, n = h.source, h.target
     if m.signature != n.signature:
         return False
-    for s in m.signature.sorts:
-        table = h.maps.get(s, {})
+    maps = {s: h.maps.get(s, {}) for s in m.signature.sorts}
+    for s, table in maps.items():
         if set(table) != set(m.carrier(s)):
             return False
         if not set(table.values()) <= set(n.carrier(s)):
             return False
-    for f in m.signature.functions:
-        for args, val in m.func_table(f.name).items():
-            im = h.apply_tuple(f.arg_sorts, args)
-            want = n.func_table(f.name).get(im, UNDEF)
-            if want is UNDEF or want != h.apply(f.result, val):
-                return False
-    for r in m.signature.relations:
-        for args in m.rel_table(r.name):
-            if h.apply_tuple(r.arg_sorts, args) not in n.rel_table(r.name):
-                return False
-    return True
+    return partial_hom_ok(m, n, maps)
 
 
 def identity_hom(m: PartialStructure) -> Homomorphism:
@@ -654,10 +638,7 @@ def size_profiles(sorts, max_size: int):
 
 
 @lru_cache(maxsize=64)
-def _models_cached(theory_src: str, max_size: int) -> tuple:
-    from dataclasses import replace
-    from .syntax import parse_theory
-    theory = parse_theory(theory_src)
+def _models_cached(theory: Theory, max_size: int) -> tuple:
     out = []
     for sizes in size_profiles(theory.signature.sorts, max_size):
         for m in enumerate_structures(theory, sizes):
@@ -667,7 +648,7 @@ def _models_cached(theory_src: str, max_size: int) -> tuple:
 
 def enumerate_models(theory: Theory, max_size: int) -> tuple:
     """All models with every carrier of size <= max_size (cached per theory)."""
-    return _models_cached(print_theory(theory), max_size)
+    return _models_cached(theory, max_size)
 
 
 # ---------------------------------------------------------------------------

@@ -204,10 +204,37 @@ class TestWitnessSearch:
         rep = definability_check(theory, [j], pool, depth=depth, size_cap=cap)
         monkeypatch.setattr(
             birkhoff, "_pool_growth_witnesses",
-            lambda closure, _r, pool, arity, u_hom:
-                reference_witnesses(closure, pool, arity, u_hom))
+            lambda closure, _r, pool, arity:
+                reference_witnesses(closure, pool, arity))
         assert definability_check(theory, [j], pool, depth=depth,
                                   size_cap=cap) == rep
+
+    def test_no_retract_search_repeated(self, monkeypatch):
+        """Within one closure, each (member, pool member) pair is searched
+        for a retraction at most once."""
+        searched = []
+        real = birkhoff._retract_exists
+
+        def counted(m, n, u_hom=None):
+            searched.append((m, n))   # kept alive, so no id is reused
+            return real(m, n, u_hom)
+
+        monkeypatch.setattr(birkhoff, "_retract_exists", counted)
+        pre = preorder_theory()
+        j = NamedAxiom("antisym", parse_sequent(
+            "[x:*, y:*] leq(x,y) /\\ leq(y,x) |- x = y", pre.signature))
+        runs = [lambda u=u, pool=pool: hsp_closure(u, pool, 2)
+                for u, pool in hsp_cases()]
+        runs.append(lambda: definability_check(
+            pre, [j], list(enumerate_models(pre, 3)), depth=2, size_cap=30))
+        total = 0
+        for run in runs:
+            searched.clear()
+            run()
+            pairs = [(id(m), id(n)) for m, n in searched]
+            assert len(set(pairs)) == len(pairs)
+            total += len(pairs)
+        assert total
 
 
 class TestClosureOperators:

@@ -151,6 +151,18 @@ class TestFactor:
         assert code == 0
         assert "dense part" in out and "closed mono part" in out
 
+    def test_sibling_models_from_commented_compact_header(self, files, capsys):
+        (files / "compact.hom").write_text(
+            "# the collapse, header written without spaces\n"
+            + COLLAPSE_HOM.replace("collapse : chain2 -> chain2",
+                                   "collapse: chain2->chain2"))
+        code, out, err = run(capsys, "factor", files / "pos.phl",
+                             files / "compact.hom", "--json")
+        assert code == 0, err
+        _, want, _ = run(capsys, "factor", files / "pos.phl",
+                         files / "collapse.hom", "--json")
+        assert out == want
+
 
 class TestTranslate:
     def test_check_obligations(self, files, capsys):
@@ -163,6 +175,15 @@ class TestTranslate:
         code, out, _ = run(capsys, "translate", files / "emb.phlm",
                            "[f:e] true |- def(s(f))")
         assert code == 0
+        assert "def(s(f))" in out
+
+    def test_sibling_theories_from_commented_compact_header(self, files, capsys):
+        (files / "compact.phlm").write_text(
+            "# the identity on quivers\n"
+            + MORPH_SRC.replace("emb : quiv -> quiv", "emb: quiv->quiv"))
+        code, out, err = run(capsys, "translate", files / "compact.phlm",
+                             "[f:e] true |- def(s(f))")
+        assert code == 0, err
         assert "def(s(f))" in out
 
 

@@ -14,8 +14,8 @@ from phl.semantics import (
 )
 from phl.syntax import parse_formula_in_context, parse_sequent
 from phl.theories import (
-    antichain_poset, chain_poset, cycle_preorder, mon_theory, pos_theory,
-    set_theory, zmod_monoid,
+    antichain_poset, cat_theory, chain_poset, cycle_preorder, mon_inv_theory,
+    mon_theory, pos_theory, set_theory, zmod_monoid,
 )
 from phl.translation import identity_morphism, make_theory_morphism, U_rho_hom
 
@@ -45,6 +45,128 @@ class TestClosedMono:
         h = Homomorphism("c", chain2, chain2, {"*": {"a": "b", "b": "b"}})
         with pytest.raises(MorphologyError):
             is_closed_mono(h)
+
+
+def loop_check_hom(h):
+    """check_hom as it was before it called partial_hom_ok: a loop over every
+    table entry of the source."""
+    m, n = h.source, h.target
+    if m.signature != n.signature:
+        return False
+    for s in m.signature.sorts:
+        table = h.maps.get(s, {})
+        if set(table) != set(m.carrier(s)):
+            return False
+        if not set(table.values()) <= set(n.carrier(s)):
+            return False
+    for f in m.signature.functions:
+        for args, val in m.func_table(f.name).items():
+            im = tuple(h.maps[s][a] for s, a in zip(f.arg_sorts, args))
+            want = n.func_table(f.name).get(im)
+            if want is None or want != h.maps[f.result][val]:
+                return False
+    for r in m.signature.relations:
+        for args in m.rel_table(r.name):
+            im = tuple(h.maps[s][a] for s, a in zip(r.arg_sorts, args))
+            if im not in n.rel_table(r.name):
+                return False
+    return True
+
+
+def loop_is_closed_mono(h):
+    """is_closed_mono as it was before it called partial_hom_ok: a loop over
+    every argument tuple of the source."""
+    if not loop_check_hom(h):
+        raise MorphologyError("not a homomorphism")
+    if not is_injective(h):
+        raise MorphologyError("not a monomorphism")
+    m, n = h.source, h.target
+    for f in m.signature.functions:
+        for args in itertools.product(*(m.carrier(s) for s in f.arg_sorts)):
+            im = tuple(h.maps[s][a] for s, a in zip(f.arg_sorts, args))
+            val = n.func_table(f.name).get(im)
+            if val is None:
+                continue
+            own = m.func_table(f.name).get(args)
+            if own is None or h.maps[f.result][own] != val:
+                return False
+    for r in m.signature.relations:
+        for args in itertools.product(*(m.carrier(s) for s in r.arg_sorts)):
+            im = tuple(h.maps[s][a] for s, a in zip(r.arg_sorts, args))
+            if im in n.rel_table(r.name) and args not in m.rel_table(r.name):
+                return False
+    return True
+
+
+def with_partial_tables(models):
+    """The models, and for each table entry of each model of size at most 2
+    a copy with that one entry dropped: partial structures that are often
+    not models."""
+    for m in models:
+        yield m
+        if m.size() > 2:
+            continue
+        for f in m.signature.functions:
+            for args in sorted(m.func_table(f.name)):
+                funcs = {g: dict(t) for g, t in m.funcs.items()}
+                del funcs[f.name][args]
+                yield make_structure(f"{m.name}-{f.name}", m.signature,
+                                     m.carriers, funcs, m.rels)
+        for r in m.signature.relations:
+            for args in sorted(m.rel_table(r.name)):
+                rels = dict(m.rels)
+                rels[r.name] = m.rel_table(r.name) - {args}
+                yield make_structure(f"{m.name}-{r.name}", m.signature,
+                                     m.carriers, m.funcs, rels)
+
+
+def element_maps(m, n):
+    """Every sort-respecting map between the carriers of m and n."""
+    sorts = m.signature.sorts
+    spaces = [itertools.product(n.carrier(s), repeat=len(m.carrier(s)))
+              for s in sorts]
+    for images in itertools.product(*spaces):
+        yield Homomorphism("h", m, n, {
+            s: dict(zip(m.carrier(s), img)) for s, img in zip(sorts, images)})
+
+
+class TestAgainstLoopOracles:
+    """check_hom and is_closed_mono run partial_hom_ok; they must agree with
+    the table loops they replaced on every element map between small
+    structures, partial ones included."""
+
+    def families(self):
+        yield list(enumerate_models(pos_theory(), 2))
+        mon = mon_theory()
+        yield list(enumerate_models(mon, 2)) + [zmod_monoid(2), zmod_monoid(4)]
+        yield list(enumerate_models(cat_theory(), 1))
+        yield list(enumerate_models(mon_inv_theory(), 2))
+
+    def test_every_element_map(self):
+        maps = homs = closed = 0
+        for family in self.families():
+            structures = list(with_partial_tables(family))
+            for m in structures:
+                for n in structures:
+                    for h in element_maps(m, n):
+                        maps += 1
+                        want = loop_check_hom(h)
+                        assert check_hom(h) == want
+                        if not (want and is_injective(h)):
+                            with pytest.raises(MorphologyError):
+                                is_closed_mono(h)
+                            continue
+                        homs += 1
+                        got = is_closed_mono(h)
+                        assert got == loop_is_closed_mono(h)
+                        closed += got
+        assert maps > homs > closed > 0
+
+    def test_sort_missing_from_maps(self):
+        cat = cat_theory()
+        empty = make_structure("empty", cat.signature, {})
+        h = Homomorphism("h", empty, empty, {"ob": {}})
+        assert check_hom(h) and loop_check_hom(h)
 
 
 class TestGeneratedSubmodel:

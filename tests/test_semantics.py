@@ -15,9 +15,9 @@ from phl.semantics import (
 )
 from phl.sampling import random_sequent
 from phl.syntax import App, Conj, Context, Eq, RelApp, TRUE, Truth, Var, \
-    atoms, conj, defined, parse_sequent, subterms
+    atoms, conj, defined, parse_sequent, parse_theory, subterms
 from phl.theories import (
-    antichain_poset, cat_theory, chain_poset, cycle_preorder, mon_inv_theory,
+    MON_SRC, antichain_poset, cat_theory, chain_poset, cycle_preorder, mon_inv_theory,
     mon_theory, pos_theory, preorder_theory, zmod_monoid,
 )
 
@@ -203,6 +203,16 @@ class TestEnumeration:
     def test_all_enumerated_are_models(self, pos):
         for m in enumerate_models(pos_theory(), 3):
             assert is_model(m, pos_theory()).ok
+
+    def test_models_cached_per_theory_value(self):
+        # two separate parses give equal, distinct Theory objects; the cache
+        # hands both the same tuple, with the models named in order
+        a, b = parse_theory(MON_SRC), parse_theory(MON_SRC)
+        assert a == b and a is not b
+        models = enumerate_models(a, 2)
+        assert enumerate_models(b, 2) is models
+        assert [m.name for m in models] == [f"M{i}" for i in range(len(models))]
+        assert len(models) == 1 + 4      # no empty monoid: the unit is a constant
 
 
 class TestMonotonicity:
