@@ -177,8 +177,6 @@ def cmd_factor(args) -> int:
         _load_model(ws, path, theory)
     hom_text = _read(args.hom)
     hom = sm.parse_hom(hom_text, _models_for_hom(ws, hom_text, args, theory))
-    if not sm.check_hom(hom):
-        raise WellFormedError(f"'{hom.name}' is not a homomorphism")
     fr = mo.factorize(hom)
     payload = {"command": "factor", "hom": hom.name,
                "mid": sm.print_model(fr.mid, theory.name),

@@ -13,15 +13,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .semantics import (
     Homomorphism, PartialStructure, check_hom, enumerate_homs, interp_formula,
     interp_term, is_model,
 )
 from .syntax import (
-    EQ, REL, TERM, TRUE, App, Context, Eq, Formula, PhlError, RelApp, Signature,
-    Term, Theory, Var, conj, conjuncts, defined, flatten, print_term,
+    EQ, FUN, REL, TERM, TRUE, App, Context, Eq, Formula, PhlError, RelApp,
+    Signature, Term, Theory, Var, conj, conjuncts, flatten, print_term,
     subst_formula, subst_term, term_depth, well_formed,
 )
 
@@ -50,7 +50,10 @@ class TermGraph:
 
     Congruence closure is incremental: every application node is indexed by
     its canonical key, each class keeps the application nodes it occurs in,
-    and a merge only reprocesses the parents of the absorbed class.
+    and a merge only reprocesses the parents of the absorbed class.  Formulas
+    are matched against the graph and written into it by compiled flat
+    clauses (`_compiled`), which read `parent`, `table`, `class_depth` and
+    `facts` directly.
     """
 
     def __init__(self, sig: Signature):
@@ -137,88 +140,16 @@ class TermGraph:
         self.vars[name] = self._add_node(None, name, (), sort, 0)
         return self.vars[name]
 
-    def read(self, atoms, vals: list) -> bool:
-        """Whether flat atoms hold in the graph, without creating nodes.
-        `vals` holds canonical classes for the variable slots and receives
-        the class of every subterm slot."""
-        table, facts = self.table, self.facts
-        get = vals.__getitem__
-        for kind, name, args, out in atoms:
-            if kind == EQ:
-                if get(args[0]) != get(args[1]):
-                    return False
-            elif kind == REL:
-                if (name, tuple(map(get, args))) not in facts:
-                    return False
-            else:
-                i = table.get((name, tuple(map(get, args))))
-                if i is None:
-                    return False
-                vals[out] = self.find(i)
-        return True
-
-    def write(self, atoms, vals: list, cap: int | None, event: TraceEvent) -> bool:
-        """Drive flat conclusion atoms into the graph, creating nodes up to
-        the depth cap and recording `event` for every merge or fact added;
-        True if some atom was deferred for exceeding the cap.  A top-level
-        term stops at its first deferred subterm."""
-        find, table, parent = self.find, self.table, self.parent
-        depth_of = self.class_depth.__getitem__
-        deferred = stopped = False
-        for kind, name, args, out in atoms:
-            if kind == EQ:
-                a, b = vals[args[0]], vals[args[1]]
-                if a is None or b is None:
-                    deferred = True
-                elif find(a) != find(b):
-                    self.merge(a, b, event)
-                continue
-            if kind == REL:
-                classes = [vals[s] for s in args]
-                if None in classes:
-                    deferred = True
-                else:
-                    key = (name, tuple(map(find, classes)))
-                    if key not in self.facts:   # merge rebinds self.facts
-                        self.facts.add(key)
-                        self.trace.append(event)
-                continue
-            if kind == TERM:
-                stopped = False
-            if stopped:
-                vals[out] = None
-                continue
-            kids = []
-            for c in args:
-                c = vals[c]
-                while parent[c] != c:   # find, inlined
-                    parent[c] = parent[parent[c]]
-                    c = parent[c]
-                kids.append(c)
-            kids = tuple(kids)
-            i = table.get((name, kids))
-            if i is not None:
-                while parent[i] != i:
-                    parent[i] = parent[parent[i]]
-                    i = parent[i]
-                vals[out] = i
-                continue
-            d = 1 + max(map(depth_of, kids), default=0)
-            if cap is not None and d > cap:
-                vals[out] = None
-                stopped = True
-            else:
-                vals[out] = self._add_node(name, None, kids,
-                                           self.sig.function(name).result, d)
-        return deferred
-
     def lookup(self, term: Term, env: dict[str, int]) -> int | None:
-        """Class of a term over an environment, without creating nodes."""
-        clause = flatten(tuple(env), defined(term))
-        vals = _slots(self, clause, env)
-        if not self.read(clause.premise, vals):
-            return None
-        return vals[clause.terms.index(term)]
+        """Class of a term over an environment, without creating nodes: the
+        class c at which `term = y` holds, for a variable y named "" so that
+        it is fresh."""
+        run = _compiled(flatten((*env, ""), Eq(term, Var(""))), len(env) + 1,
+                        self.sig)
+        combo = [self.find(env[n]) for n in env]
+        return next((c for c, p in enumerate(self.parent)
+                     if p == c and run(self, (*combo, c), None, None) is not None),
+                    None)
 
     def stamp(self) -> tuple[int, int, int]:
         return (len(self.parent), self.n_classes, len(self.facts))
@@ -287,23 +218,136 @@ class TermGraph:
         return reps
 
 
-def _slots(g: TermGraph, clause, env: dict[str, int]) -> list:
-    vals = [g.find(env[n]) for n in env]
-    return vals + [None] * (len(clause.terms) - len(vals))
+# ---------------------------------------------------------------------------
+# flat clauses compiled for the graph
+
+@lru_cache(maxsize=1024)
+def _compiled(clause, nvars: int, sig: Signature):
+    """A flat clause as a Python function `run(g, combo, cap, name, event=None)`
+    over a graph, with `combo` the classes of the first `nvars` slots.
+
+    `run` returns None if the premise does not hold in `g`.  Otherwise it
+    drives the conclusion into `g` and returns True if some atom was deferred
+    for exceeding the depth cap (None means no cap).  The premise only reads
+    the graph: an equation compares classes as given, and a subterm slot
+    receives the canonical class of its node.  The conclusion creates each
+    missing node at one more than the depth of its deepest child, unless
+    that exceeds the cap, in which case its top-level term stops there and
+    yields no class; an atom over a term without a class is deferred.
+    Every merge or new fact records `event`, by default `(name, combo)`.
+
+    Slot i is the local `v{i}`; symbol and sort names enter the source only
+    as literals."""
+    body = [f"{_tuple([f'v{i}' for i in range(nvars)])} = combo",
+            "parent, table = g.parent, g.table"]
+    for kind, sym, args, slot in clause.premise:
+        key = f"({sym!r}, {_tuple([f'v{a}' for a in args])})"
+        if kind == EQ:
+            if args[0] != args[1]:
+                body.append(f"if v{args[0]} != v{args[1]}: return None")
+        elif kind == REL:
+            body.append(f"if {key} not in g.facts: return None")
+        else:
+            body += [f"i = table.get({key})", "if i is None: return None",
+                     _find("i"), f"v{slot} = i"]
+    body += ["depth = g.class_depth", "deferred = False"]
+    atoms = clause.conclusion
+    unset: set[int] = set()     # slots of top-level terms, None if deferred
+    for k, (kind, sym, args, _) in enumerate(atoms):
+        if kind == TERM:
+            end = next((j for j in range(k + 1, len(atoms))
+                        if atoms[j][0] != FUN), len(atoms))
+            body += _term_source(atoms[k:end], sig)
+            unset.add(atoms[end - 1][3])
+        elif kind != FUN:       # FUN atoms belong to the term before them
+            body += _atom_source(kind, sym, args, unset)
+    body.append("return deferred")
+    namespace: dict = {}
+    source = "def run(g, combo, cap, name, event=None):\n" + \
+        "".join(f"    {line}\n" for line in body)
+    exec(compile(source, "<phl clause>", "exec"), namespace)
+    return namespace["run"]
+
+
+def _tuple(items: list[str]) -> str:
+    """Source of a tuple display."""
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+def _find(x: str) -> str:
+    """Source that replaces the local `x` by its canonical class, halving
+    paths as `TermGraph.find` does."""
+    return (f"while parent[{x}] != {x}: "
+            f"parent[{x}] = parent[parent[{x}]]; {x} = parent[{x}]")
+
+
+def _term_source(atoms, sig: Signature) -> list[str]:
+    """Source of one top-level term of a conclusion: its atoms in order,
+    stopping at the first node deeper than the cap with the term's slot
+    None."""
+    top = atoms[-1][3]
+    out: list[str] = []
+    made: set[int] = set()      # slots of this term, already canonical
+    for _, sym, args, slot in atoms:
+        kids = []
+        for j, a in enumerate(args):
+            if a not in made:
+                out += [f"k{j} = v{a}", _find(f"k{j}")]
+            kids.append(f"v{a}" if a in made else f"k{j}")
+        depth = ("1" if not kids else f"1 + depth[{kids[0]}]" if len(kids) == 1
+                 else f"1 + max({', '.join(f'depth[{c}]' for c in kids)})")
+        key = _tuple(kids)
+        out += [f"i = table.get(({sym!r}, {key}))",
+                "if i is None:",
+                f"    d = {depth}",
+                "    if cap is None or d <= cap:",
+                f"        i = g._add_node({sym!r}, None, {key}, "
+                f"{sig.function(sym).result!r}, d)"]
+        if slot != top:
+            out += ["    else:", f"        v{top} = None", "        break"]
+        out += ["else:", "    " + _find("i"), f"v{slot} = i"]
+        made.add(slot)
+    if len(atoms) == 1:
+        return out
+    return ["while True:", *(f"    {line}" for line in out), "    break"]
+
+
+def _atom_source(kind: str, sym: str | None, args, unset: set[int]) -> list[str]:
+    """Source of an equation or relation atom of a conclusion."""
+    missing = " or ".join(f"v{a} is None" for a in dict.fromkeys(args)
+                          if a in unset)
+    if kind == EQ and args[0] == args[1]:       # def(t): only its term's class
+        return [f"if {missing}: deferred = True"] if missing else []
+    record = "(name, combo) if event is None else event"
+    classes = [f"c{j}" for j in range(len(args))]
+    out: list[str] = []
+    for c, a in zip(classes, args):
+        out += [f"{c} = v{a}", _find(c)]
+    if kind == EQ:
+        out.append(f"if c0 != c1: g.merge(c0, c1, {record})")
+    else:
+        out += [f"key = ({sym!r}, {_tuple(classes)})",
+                "if key not in g.facts:",
+                "    g.facts.add(key)",
+                f"    g.trace.append({record})"]
+    if not missing:
+        return out
+    return [f"if {missing}: deferred = True", "else:",
+            *(f"    {line}" for line in out)]
 
 
 def holds_in_graph(g: TermGraph, f: Formula, env: dict[str, int]) -> bool:
     """Whether a formula instance is established by the current graph."""
-    clause = flatten(tuple(env), f)
-    return g.read(clause.premise, _slots(g, clause, env))
+    run = _compiled(flatten(tuple(env), f), len(env), g.sig)
+    return run(g, tuple(g.find(env[n]) for n in env), None, None) is not None
 
 
 def assert_in_graph(g: TermGraph, f: Formula, env: dict[str, int],
                     cap: int | None, event: TraceEvent) -> bool:
     """Drive a formula instance into the graph; True if some atom was
     deferred for exceeding the depth budget."""
-    clause = flatten(tuple(env), TRUE, f)
-    return g.write(clause.conclusion, _slots(g, clause, env), cap, event)
+    run = _compiled(flatten(tuple(env), TRUE, f), len(env), g.sig)
+    return run(g, tuple(g.find(env[n]) for n in env), cap, None, event)
 
 
 DEFAULT_WORK_BUDGET = 500_000
@@ -322,26 +366,26 @@ def saturation_pass(theory: Theory, g: TermGraph, cap: int | None,
     """One full pass of axiom instantiation; returns (changed, deferred).
 
     Environments range over the classes canonical at the start of the pass,
-    axiom by axiom in `itertools.product` order; classes absorbed mid-pass
-    are skipped (their instances are covered at the absorbing class, which
-    is always the older one).  Every environment, skipped or not, spends one
-    unit of the work budget.  The first environment beyond the budget
-    aborts the pass, which then counts as a deferral: `budget.remaining`
-    drops by the environments tried plus the aborting one and
-    `budget.exhausted` is set."""
+    axiom by axiom in `itertools.product` order, and each runs the axiom's
+    compiled clause; classes absorbed mid-pass are skipped (their instances
+    are covered at the absorbing class, which is always the older one).
+    Every environment, skipped or not, spends one unit of the work budget.
+    The first environment beyond the budget aborts the pass, which then
+    counts as a deferral: `budget.remaining` drops by the environments tried
+    plus the aborting one and `budget.exhausted` is set."""
     before = g.stamp()
     deferred = False
     classes = g.classes_by_sort()
     starting = [c for cs in classes.values() for c in cs]
-    parent, read, write = g.parent, g.read, g.write
+    parent = g.parent
     absorbed: set[int] = set()      # members of `starting` absorbed so far
     merges = len(parent) - g.n_classes    # absorbed nodes, counted to spot a merge
     left = math.inf if budget is None else budget.remaining
     for ax in theory.axioms:
         seq = ax.sequent
-        clause = flatten(seq.context.names, seq.premise, seq.conclusion)
-        premise, conclusion, name = clause.premise, clause.conclusion, ax.name
-        pad = [None] * (len(clause.terms) - len(seq.context))
+        run = _compiled(flatten(seq.context.names, seq.premise, seq.conclusion),
+                        len(seq.context), g.sig)
+        name = ax.name
         pools = [classes[s] for _, s in seq.context.vars]
         combos = itertools.product(*pools)
         n = math.prod(map(len, pools))
@@ -354,10 +398,8 @@ def saturation_pass(theory: Theory, g: TermGraph, cap: int | None,
         for combo in combos:
             if absorbed and not absorbed.isdisjoint(combo):
                 continue
-            vals = [*combo, *pad]
-            if premise and not read(premise, vals):
-                continue
-            deferred |= write(conclusion, vals, cap, (name, combo))
+            if run(g, combo, cap, name):
+                deferred = True
             if len(parent) - g.n_classes != merges:
                 merges = len(parent) - g.n_classes
                 absorbed = {c for c in starting if parent[c] != c}

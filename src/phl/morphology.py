@@ -82,8 +82,11 @@ def is_dense(h: Homomorphism) -> bool:
     """Whether the closed submodel generated by the image is the whole target."""
     if not check_hom(h):
         raise MorphologyError("not a homomorphism")
-    image = hom_image(h)
-    sub, _ = closed_submodel_generated(h.target, image)
+    return _image_generates_target(h)
+
+
+def _image_generates_target(h: Homomorphism) -> bool:
+    sub, _ = closed_submodel_generated(h.target, hom_image(h))
     return all(set(sub.carrier(s)) == set(h.target.carrier(s))
                for s in h.source.signature.sorts)
 
@@ -97,15 +100,16 @@ class FactorizationResult:
 
 def factorize(h: Homomorphism) -> FactorizationResult:
     """Factor h as a dense morphism followed by a closed monomorphism, through
-    the closed submodel generated by the image."""
+    the closed submodel generated by the image.  Each hom involved is
+    checked once."""
     if not check_hom(h):
-        raise MorphologyError("not a homomorphism")
+        raise MorphologyError(f"'{h.name}' is not a homomorphism")
     mid, incl = closed_submodel_generated(h.target, hom_image(h))
     dense = Homomorphism(f"{h.name}_dense", h.source, mid,
                          {s: dict(h.maps[s]) for s in h.source.signature.sorts})
     if not check_hom(dense):
         raise MorphologyError("corestriction failed to be a homomorphism")
-    if not is_dense(dense):
+    if not _image_generates_target(dense):
         raise MorphologyError("dense part failed the density check")
     if not is_closed_mono(incl):
         raise MorphologyError("inclusion failed the closedness check")

@@ -164,6 +164,31 @@ class TestFactor:
         assert out == want
 
 
+    def test_each_hom_checked_once(self, files, capsys, monkeypatch):
+        from phl import morphology, semantics
+        calls, check = [], semantics.check_hom
+
+        def counted(h):
+            calls.append(h.name)
+            return check(h)
+
+        monkeypatch.setattr(morphology, "check_hom", counted)
+        monkeypatch.setattr(semantics, "check_hom", counted)
+        code, _, _ = run(capsys, "factor", files / "pos.phl",
+                         files / "collapse.hom")
+        assert code == 0
+        assert sorted(calls) == ["collapse", "collapse_dense", "incl"]
+
+    def test_non_hom_rejected(self, files, capsys):
+        (files / "flip.hom").write_text(
+            COLLAPSE_HOM.replace("collapse", "flip").replace("a->b b->b",
+                                                             "a->b b->a"))
+        code, out, err = run(capsys, "factor", files / "pos.phl",
+                             files / "flip.hom")
+        assert (code, out) == (11, "")
+        assert err == "error: 'flip' is not a homomorphism\n"
+
+
 class TestTranslate:
     def test_check_obligations(self, files, capsys):
         code, out, _ = run(capsys, "translate", "--check",

@@ -131,10 +131,30 @@ class TestRepresentingModel:
             assert set(args) <= carriers and val in carriers
 
 
-# `saturation_pass` and `TermGraph.write` as they were before the instance
-# loop was tightened: one budget check, one canonical-class check and one
-# `find` per child for every instance.  The tightened loop must try the same
-# instances in the same order and leave the same graph, trace and budget.
+# `saturation_pass` with an interpreter of flat clauses, as it was before the
+# instance loop was tightened and the clauses compiled: one budget check, one
+# canonical-class check and one `find` per child for every instance.  The
+# compiled pass must try the same instances in the same order and leave the
+# same graph, trace and budget, and `assert_in_graph` must seed the same
+# graph as `reference_write`.
+
+def reference_read(g, atoms, vals):
+    table, facts = g.table, g.facts
+    get = vals.__getitem__
+    for kind, name, args, out in atoms:
+        if kind == EQ:
+            if get(args[0]) != get(args[1]):
+                return False
+        elif kind == REL:
+            if (name, tuple(map(get, args))) not in facts:
+                return False
+        else:
+            i = table.get((name, tuple(map(get, args))))
+            if i is None:
+                return False
+            vals[out] = g.find(i)
+    return True
+
 
 def reference_write(g, atoms, vals, cap, event):
     find, table = g.find, g.table
@@ -199,7 +219,7 @@ def reference_pass(theory, g, cap, budget, skipped):
                 skipped.append(combo)
                 continue
             vals = [*combo, *pad]
-            if g.read(clause.premise, vals):
+            if reference_read(g, clause.premise, vals):
                 deferred |= reference_write(g, clause.conclusion, vals, cap,
                                             (ax.name, combo))
     return g.stamp() != before, deferred
@@ -212,14 +232,24 @@ def graph_state(g, budget):
 
 def lockstep(theory, seq, depth, max_work, skipped):
     """Run `saturate`'s pass loop, without a goal, with both passes side by
-    side; return how the run ended."""
+    side, after seeding with `reference_write` and `assert_in_graph`; return
+    how the run ended."""
     graphs, budgets = [], []
-    for _ in range(2):
+    for seed in ("reference", "compiled"):
         g = TermGraph(theory.signature)
         env = {name: g.add_var(name, sort) for name, sort in seq.context.vars}
-        assert_in_graph(g, seq.premise, env, None, ("premise", ()))
+        if seed == "reference":
+            clause = flatten(tuple(env), TRUE, seq.premise)
+            vals = [g.find(env[n]) for n in env]
+            vals += [None] * (len(clause.terms) - len(vals))
+            assert not reference_write(g, clause.conclusion, vals, None,
+                                       ("premise", ()))
+        else:
+            assert not assert_in_graph(g, seq.premise, env, None, ("premise", ()))
         graphs.append(g)
         budgets.append(WorkBudget(max_work))
+    assert graph_state(graphs[0], budgets[0]) == \
+        graph_state(graphs[1], budgets[1]), (seq, "seed")
     cap = max([depth] + list(graphs[0].class_depth.values()))
     ref = functools.partial(reference_pass, skipped=skipped)
     passes = 0
@@ -281,6 +311,39 @@ axiom glue [y:a, x:c] true |- def(f(x)) /\\ k(h(y)) = j(y);
         assert lockstep(theory, Sequent(ctx, phi, TRUE), 2, 100, skipped) \
             == "probed"
         assert skipped == [(0, 3)]
+
+    def test_symbols_named_like_generated_locals(self):
+        # every symbol, sort, variable and axiom is named like a local of
+        # the compiled clauses; `run` reads a 0-ary term first, `key` writes
+        # one first, and `event` writes relation facts after its merge
+        theory = parse_theory("""\
+theory capture
+sorts: d cap
+fun g : -> d;
+fun parent : d -> d;
+fun table : d d -> d;
+fun i : d -> cap;
+rel depth : d d;
+rel name : d;
+rel combo : cap;
+axiom run [k0:d] def(g) |- def(parent(k0)) /\\ depth(k0, parent(k0));
+axiom event [c0:d, c1:d] depth(c0, c1) /\\ name(c1) |- c0 = c1 /\\ name(c0) /\\ combo(i(c0));
+axiom key [v0:d] true |- table(v0, g) = parent(v0);
+""")
+        ctx, phi = parse_formula_in_context(
+            "[cap:d, d:d] def(g) /\\ name(d) /\\ depth(cap, d)",
+            theory.signature)
+        seq = Sequent(ctx, phi, TRUE)
+        endings = {lockstep(theory, seq, depth, max_work, [])
+                   for depth in (1, 2, 3) for max_work in (3, 40, 2_000)}
+        assert {"exhausted", "probed"} <= endings
+        g, _, _, _ = saturate(theory, ctx, phi, 2)
+        # the merge of c0 with c1, then the fact combo(i(c0))
+        assert g.trace.count(("event", (0, 1))) == 2
+        env = {n: g.find(i) for n, i in g.vars.items()}
+        assert g.lookup(App("parent", (Var("cap"),)), env) is not None
+        assert g.lookup(App("parent", (App("parent", (App("g", ()),)),)),
+                        env) is None
 
 
 class TestYoneda:

@@ -1,12 +1,17 @@
 """Static checks on the package source, run as tests since the project has
 no separate lint step."""
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "phl"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "phl"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# the files whose references keep a private helper alive
+CALLERS = sorted(p for d in ("src/phl", "tests", "scripts")
+                 for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +39,64 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Top-level functions and classes whose names start with one `_`."""
+    return {n.name: n for n in tree.body
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and n.name.startswith("_") and not n.name.startswith("__")}
+
+
+def names_read(nodes) -> set[str]:
+    """Identifiers read by the given nodes and their descendants: plain names,
+    attributes, imported names and string literals (as in `setattr`)."""
+    out = set()
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                out.update(alias.name for alias in n.names)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                out.add(n.value)
+    return out
+
+
+@functools.cache
+def parsed(path: Path) -> ast.Module:
+    return ast.parse(path.read_text())
+
+
+def unreferenced_private(module: Path, callers) -> list[str]:
+    """Private top-level definitions of `module` read neither by the rest of
+    the module nor by another caller file.  A definition read only by its own
+    body counts as unread."""
+    tree = parsed(module)
+    defs = private_definitions(tree)
+    read = names_read(n for n in tree.body if n not in defs.values())
+    for path in callers:
+        if path != module:
+            read |= names_read([parsed(path)])
+    return sorted(name for name, node in defs.items() if name not in read
+                  and name not in names_read(d for d in defs.values()
+                                             if d is not node))
+
+
+def test_detects_unreferenced_private(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("def _dead():\n    return _dead()\n"
+                      "def _used():\n    pass\n"
+                      "def _imported():\n    pass\n"
+                      "class _Attr:\n    pass\n"
+                      "def public():\n    return _used()\n")
+    caller = tmp_path / "c.py"
+    caller.write_text("from m import _imported\nimport m\nm._Attr\n")
+    assert unreferenced_private(module, [module, caller]) == ["_dead"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unreferenced_private_definitions(path):
+    assert unreferenced_private(path, CALLERS) == []
