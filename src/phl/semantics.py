@@ -98,44 +98,67 @@ _UNK = object()  # value of a slot that depends on an unassigned cell
 _NO_HOLES: frozenset = frozenset()
 
 
-def _read(atoms, vals, funcs, rels, holes, touched) -> bool | None:
-    """Three-valued truth of a conjunction of flat atoms over partial tables.
+@lru_cache(maxsize=1024)
+def _reader(atoms):
+    """A conjunction of flat atoms as a Python function
+    `read(vals, funcs, rels, holes, touched)`: its three-valued truth over
+    partial tables.
 
     `vals` holds the variable slots and receives every other slot.  A
     function table maps argument tuples to values (a missing key is
     undefined), a relation table holds its true tuples, and `holes` is the
     set of cells `(symbol, args)` not assigned yet; every hole read is
-    noted in `touched`.  False as soon as some atom is definitely false,
-    None when the answer waits on a hole, else True.
-    """
-    known = True
-    get = vals.__getitem__
+    noted in `touched`.  `read` returns False as soon as some atom is
+    definitely false, None when the answer waits on a hole, else True.  A
+    slot that depends on a hole holds `_UNK`, and an atom over such a slot
+    neither fails nor touches a cell.
+
+    Slot i is the local `v{i}`; only the slots written by earlier atoms
+    can hold `_UNK`.  Symbol names enter the source only as literals."""
+    written: set[int] = set()
+    tables: dict[str, str] = {}
+    loads: list[str] = []
+    body: list[str] = []
     for kind, name, args, out in atoms:
+        for a in args:
+            if a not in written and f"v{a} = vals[{a}]" not in loads:
+                loads.append(f"v{a} = vals[{a}]")
+        maybe = [f"v{a}" for a in dict.fromkeys(args) if a in written]
+        sure = [f"{v} is not U" for v in maybe]
         if kind == EQ:
-            x, y = get(args[0]), get(args[1])
-            if x != y and x is not _UNK and y is not _UNK:
-                return False
+            if args[0] != args[1]:
+                test = " and ".join([f"v{args[0]} != v{args[1]}", *sure])
+                body.append(f"if {test}: return False")
             continue
-        key = tuple(map(get, args))
+        if name not in tables:
+            tables[name] = f"t{len(tables)}"
+            loads.append(f"{tables[name]} = {'rels' if kind == REL else 'funcs'}"
+                         f"[{name!r}]")
+        key = "(" + "".join(f"v{a}, " for a in args) + ")"
+        miss = [f"    c = ({name!r}, {key})", "    if c not in holes: return False",
+                "    touched.append(c)", "    known = None"]
         if kind == REL:
-            if key in rels[name]:
-                continue
-        else:
-            v = funcs[name].get(key)
-            if v is not None:
-                vals[out] = v
-                continue
-        if not holes:
-            return False
-        if _UNK not in key:
-            cell = (name, key)
-            if cell not in holes:
-                return False
-            touched.append(cell)
-            known = False
-        if kind != REL:
-            vals[out] = _UNK
-    return True if known else None
+            body += [f"if {' and '.join([*sure, f'{key} not in {tables[name]}'])}:",
+                     *miss]
+            continue
+        get = f"{tables[name]}.get({key})"
+        if maybe:
+            get = f"U if {' or '.join(f'{v} is U' for v in maybe)} else {get}"
+        body += [f"v{out} = {get}", f"if v{out} is None:", *miss, f"    v{out} = U",
+                 f"vals[{out}] = v{out}"]
+        written.add(out)
+    if any(kind != EQ for kind, *_ in atoms):
+        loads.append("known = True")
+        body.append("return known")
+    else:
+        body.append("return True")
+    source = ("def make(U):\n"
+              "    def read(vals, funcs, rels, holes, touched):\n"
+              + "".join(f"        {line}\n" for line in loads + body)
+              + "    return read\n")
+    namespace: dict = {}
+    exec(compile(source, "<phl reader>", "exec"), namespace)
+    return namespace["make"](_UNK)
 
 
 def _tables(m: PartialStructure):
@@ -152,15 +175,15 @@ def interp_term(m: PartialStructure, ctx: Context, term, tup) -> str | None:
     """Kleene-strict evaluation; UNDEF (None) when any stage is undefined."""
     clause = flatten(ctx.names, defined(term))
     vals = _slots(clause, tup)
-    if not _read(clause.premise, vals, *_tables(m), _NO_HOLES, None):
+    if not _reader(clause.premise)(vals, *_tables(m), _NO_HOLES, None):
         return UNDEF
     return vals[clause.terms.index(term)]
 
 
 def formula_holds_at(m: PartialStructure, ctx: Context, f, tup) -> bool:
     clause = flatten(ctx.names, f)
-    return bool(_read(clause.premise, _slots(clause, tup), *_tables(m),
-                      _NO_HOLES, None))
+    return bool(_reader(clause.premise)(_slots(clause, tup), *_tables(m),
+                                        _NO_HOLES, None))
 
 
 def context_tuples(m: PartialStructure, ctx: Context):
@@ -169,10 +192,10 @@ def context_tuples(m: PartialStructure, ctx: Context):
 
 def interp_formula(m: PartialStructure, ctx: Context, f) -> set[tuple[str, ...]]:
     clause = flatten(ctx.names, f)
+    read = _reader(clause.premise)
     funcs, rels = _tables(m)
     return {tup for tup in context_tuples(m, ctx)
-            if _read(clause.premise, _slots(clause, tup), funcs, rels,
-                     _NO_HOLES, None)}
+            if read(_slots(clause, tup), funcs, rels, _NO_HOLES, None)}
 
 
 @dataclass(frozen=True)
@@ -188,11 +211,12 @@ def holds(m: PartialStructure, seq: Sequent) -> HoldsResult:
     """Validity of a sequent; on failure carries a premise tuple outside the
     conclusion."""
     clause = flatten(seq.context.names, seq.premise, seq.conclusion)
+    premise, conclusion = _reader(clause.premise), _reader(clause.conclusion)
     funcs, rels = _tables(m)
     for tup in context_tuples(m, seq.context):
         vals = _slots(clause, tup)
-        if _read(clause.premise, vals, funcs, rels, _NO_HOLES, None) and \
-                not _read(clause.conclusion, vals, funcs, rels, _NO_HOLES, None):
+        if premise(vals, funcs, rels, _NO_HOLES, None) and \
+                not conclusion(vals, funcs, rels, _NO_HOLES, None):
             return HoldsResult(False, tup)
     return HoldsResult(True)
 
@@ -516,10 +540,21 @@ def _totalish_functions(theory: Theory) -> set[str]:
 def enumerate_structures(theory: Theory, sizes: dict[str, int]):
     """Yield every partial structure on fixed carriers that models the theory.
 
-    Backtracking over table cells with three-valued pruning: a branch dies as
-    soon as some axiom instance is definitely violated.  Each pending axiom
-    instance watches the unassigned cells its last evaluation touched and is
-    only rechecked when one of them changes.
+    Backtracking over table cells in a fixed order, with three-valued
+    pruning: a branch dies as soon as some axiom instance is definitely
+    violated.  Each axiom side is read by its compiled reader (`_reader`).
+    A pending instance waits in the bucket of the first cell, in branching
+    order, that its last read touched, and is rechecked only when that cell
+    is assigned, in instance order.  A pending instance whose premise holds
+    and whose conclusion waits on one cell forces that cell: a relation
+    cell must be true, and a function cell must be defined, with the value
+    of an equation partner that is already known.  Forcing only drops
+    options that lead to no model, so the models come out in the same
+    order as without it.  Bucket appends and narrowed option lists are
+    undone on backtrack through one trail of ints: j for an append to
+    bucket j, ~j for a narrowing of cell j.  The models share one
+    `carriers` dict, and a model shares each table that equals the
+    previous model's.
     """
     sig = theory.signature
     carriers = {s: tuple(f"{_sort_tag(s)}{i}" for i in range(sizes.get(s, 0)))
@@ -534,97 +569,138 @@ def enumerate_structures(theory: Theory, sizes: dict[str, int]):
             return (1, len(d.arg_sorts), d.name)
         return (2, len(d.arg_sorts), d.name)
 
-    # a cell is (symbol, args); its options are the values it may take, with
-    # UNDEF meaning absent from the table
-    cells: list[tuple[str, tuple[str, ...], list]] = []
+    # a cell is (symbol, args); choices[i] is a stack of the option lists of
+    # cell i, each a sublist of the one below, with UNDEF meaning absent from
+    # the table
+    cells: list[tuple[str, tuple[str, ...]]] = []
+    choices: list[list[list]] = []
     for f in sorted(sig.functions, key=func_rank):
         options = list(carriers[f.result]) + [UNDEF]
         for args in itertools.product(*(carriers[s] for s in f.arg_sorts)):
-            cells.append((f.name, args, options))
+            cells.append((f.name, args))
+            choices.append([options])
     for r in sorted(sig.relations, key=lambda d: (len(d.arg_sorts), d.name)):
         for args in itertools.product(*(carriers[s] for s in r.arg_sorts)):
-            cells.append((r.name, args, [UNDEF, True]))
+            cells.append((r.name, args))
+            choices.append([[UNDEF, True]])
+    index = {cell: i for i, cell in enumerate(cells)}
 
     funcs: dict[str, dict] = {f.name: {} for f in sig.functions}
     rels: dict[str, dict] = {r.name: {} for r in sig.relations}
     tables = {**funcs, **rels}
-    holes = {(name, args) for name, args, _ in cells}
+    holes = set(cells)
 
     instances = []
     for ax in theory.axioms:
         seq = ax.sequent
         clause = flatten(seq.context.names, seq.premise, seq.conclusion)
+        premise = _reader(clause.premise) if clause.premise else None
+        conclusion = _reader(clause.conclusion)
+        partners = _partners(clause.conclusion)
         for tup in itertools.product(*(carriers[s] for _, s in seq.context.vars)):
-            instances.append((clause.premise, clause.conclusion,
-                              _slots(clause, tup)))
-    watch: list[frozenset] = [frozenset()] * len(instances)
+            instances.append((premise, conclusion, _slots(clause, tup), partners))
+    bucket: list[list[int]] = [[] for _ in cells]
+    trail: list[int] = []
 
-    def status(k):
-        premise, conclusion, vals = instances[k]
+    def check(k) -> bool:
+        """Read instance k: False if it is violated or forces a cell out of
+        options; a pending instance goes to its bucket."""
+        premise, conclusion, vals, partners = instances[k]
         touched: list = []
-        p = _read(premise, vals, funcs, rels, holes, touched) if premise else True
+        p = premise(vals, funcs, rels, holes, touched) if premise else True
         if p is False:
             return True
-        c = _read(conclusion, vals, funcs, rels, holes, touched)
+        c = conclusion(vals, funcs, rels, holes, touched)
         if c is True:
             return True
         if p is True and c is False:
             return False
-        watch[k] = frozenset(touched)
-        return None
+        j = min(map(index.__getitem__, touched))
+        bucket[j].append(k)
+        trail.append(j)
+        if p is True and touched.count(touched[0]) == len(touched):
+            return force(j, vals, partners)
+        return True
+
+    def force(j, vals, partners) -> bool:
+        now = choices[j][-1]
+        if cells[j][0] in rels:
+            narrowed = [v for v in now if v is True]
+        else:
+            # the one touched cell is the atom of a slot o that is unknown
+            # while its arguments are known
+            want = [vals[p] for o, p, args in partners
+                    if vals[o] is _UNK and vals[p] is not _UNK
+                    and all(vals[a] is not _UNK for a in args)]
+            narrowed = [v for v in now
+                        if v is not UNDEF and all(v == w for w in want)]
+        if len(narrowed) < len(now):
+            choices[j].append(narrowed)
+            trail.append(~j)
+        return bool(narrowed)
+
+    def undo(mark):
+        while len(trail) > mark:
+            t = trail.pop()
+            if t >= 0:
+                bucket[t].pop()
+            else:
+                choices[~t].pop()
+
+    last_funcs: dict = {}
+    last_rels: dict = {}
 
     def freeze(count):
-        return PartialStructure(f"M{count}", sig, dict(carriers),
-                                {f: dict(t) for f, t in funcs.items()},
-                                {r: frozenset(t) for r, t in rels.items()})
+        """The current tables as a structure.  A table equal to the previous
+        model's is that model's table, and so is a dict of tables."""
+        nonlocal last_funcs, last_rels
+        new_funcs = {f: last_funcs[f] if last_funcs.get(f) == t else dict(t)
+                     for f, t in funcs.items()}
+        new_rels = {r: last_rels[r] if last_rels.get(r) == t.keys() else frozenset(t)
+                    for r, t in rels.items()}
+        if new_funcs != last_funcs:
+            last_funcs = new_funcs
+        if new_rels != last_rels:
+            last_rels = new_rels
+        return PartialStructure(f"M{count}", sig, carriers, last_funcs, last_rels)
 
     count = 0
 
-    def rec(i, unknown):
+    def rec(i):
         nonlocal count
         if i == len(cells):
-            if all(status(k) for k in unknown):
-                count += 1
-                yield freeze(count)
+            count += 1
+            yield freeze(count)
             return
-        name, args, options = cells[i]
-        cell = (name, args)
+        cell = cells[i]
+        name, args = cell
         table = tables[name]
         holes.remove(cell)
-        for value in options:
+        order = sorted(bucket[i])
+        for value in choices[i][-1]:
             if value is UNDEF:
                 table.pop(args, None)
             else:
                 table[args] = value
-            still = []
-            trail = []
-            ok = True
-            for k in unknown:
-                if cell not in watch[k]:
-                    still.append(k)
-                    continue
-                trail.append((k, watch[k]))
-                st = status(k)
-                if st is False:
-                    ok = False
-                    break
-                if st is None:
-                    still.append(k)
-            if ok:
-                yield from rec(i + 1, still)
-            for k, old in trail:
-                watch[k] = old
+            mark = len(trail)
+            if all(map(check, order)):
+                yield from rec(i + 1)
+            undo(mark)
         table.pop(args, None)
         holes.add(cell)
 
-    initial = []
-    for k in range(len(instances)):
-        st = status(k)
-        if st is False:
-            return
-        if st is None:
-            initial.append(k)
-    yield from rec(0, initial)
+    if all(map(check, range(len(instances)))):
+        yield from rec(0)
+
+
+def _partners(atoms) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The equation partners of a conclusion's function slots: `(o, p, args)`
+    for each equation between the slot o and the slot p, with `args` the
+    argument slots of o's atom."""
+    args_of = {out: args for _, _, args, out in atoms if out is not None}
+    return tuple((o, p, args_of[o]) for kind, _, args, _ in atoms
+                 if kind == EQ and args[0] != args[1]
+                 for o, p in (args, args[::-1]) if o in args_of)
 
 
 def _sort_tag(sort: str) -> str:

@@ -6,22 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phl import semantics
 from phl.semantics import (
     ChainDiagram, Homomorphism, HoldsResult, PartialStructure, SemanticsError,
     chain_colimit, check_hom, compose_homs, context_tuples, enumerate_homs,
     enumerate_models, enumerate_structures, formula_holds_at, holds,
     identity_hom, interp_formula, interp_term, is_model, make_structure,
-    parse_hom, parse_model, print_hom, print_model, product, terminal,
+    parse_hom, parse_model, print_hom, print_model, product, size_profiles,
+    terminal,
 )
 from phl.sampling import random_sequent
-from phl.syntax import App, Conj, Context, Eq, RelApp, TRUE, Truth, Var, \
-    atoms, conj, defined, parse_sequent, parse_theory, subterms
+from phl.syntax import App, Conj, Context, EQ, Eq, FuncDecl, REL, RelApp, TRUE, \
+    Truth, Var, atoms, conj, defined, flatten, parse_sequent, parse_theory, \
+    subterms
+from phl.translation import sketch_to_pht
 from phl.theories import (
     MON_SRC, antichain_poset, cat_theory, chain_poset, cycle_preorder, mon_inv_theory,
     mon_theory, pos_theory, preorder_theory, zmod_monoid,
 )
 
 from conftest import formulas_over
+from test_translation import product_sketch, pullback_sketch
 
 
 class TestInterpretation:
@@ -195,10 +200,26 @@ class TestEnumeration:
         assert len(list(enumerate_structures(mon, {"*": 3}))) == 33
 
     def test_poset_counts(self, pos):
-        # labelled posets: 1, 3, 19
+        # labelled posets, OEIS A001035: 1, 3, 19, 219
         assert len(list(enumerate_structures(pos, {"*": 1}))) == 1
         assert len(list(enumerate_structures(pos, {"*": 2}))) == 3
         assert len(list(enumerate_structures(pos, {"*": 3}))) == 19
+        assert len(list(enumerate_structures(pos, {"*": 4}))) == 219
+
+    def test_preorder_counts(self):
+        # labelled preorders, OEIS A000798: 1, 4, 29, 355
+        pre = preorder_theory()
+        assert [len(list(enumerate_structures(pre, {"*": n})))
+                for n in (1, 2, 3, 4)] == [1, 4, 29, 355]
+
+    def test_models_share_carriers_and_equal_tables(self, pos, mon):
+        models = list(enumerate_structures(pos, {"*": 3}))
+        assert all(m.carriers is models[0].carriers for m in models)
+        assert all(m.funcs is models[0].funcs for m in models)
+        models = list(enumerate_structures(mon, {"*": 3}))
+        for prev, m in zip(models, models[1:]):
+            for f, table in m.funcs.items():
+                assert (table is prev.funcs[f]) == (table == prev.funcs[f])
 
     def test_all_enumerated_are_models(self, pos):
         for m in enumerate_models(pos_theory(), 3):
@@ -366,3 +387,309 @@ class TestRandomSequents:
                 random_sequent(rng, theory, max_vars=3, max_atoms=2, depth=2)
         for _ in range(60):
             random_sequent(rng, cat_theory(), max_vars=3, max_atoms=2, depth=2)
+
+
+# ---------------------------------------------------------------------------
+# the compiled readers and the propagating enumerator against the
+# interpreted read loop and the enumerator they replace
+
+UNK = semantics._UNK
+
+
+def reference_read(atoms, vals, funcs, rels, holes, touched) -> bool | None:
+    """The interpreted three-valued read of a conjunction of flat atoms."""
+    known = True
+    get = vals.__getitem__
+    for kind, name, args, out in atoms:
+        if kind == EQ:
+            x, y = get(args[0]), get(args[1])
+            if x != y and x is not UNK and y is not UNK:
+                return False
+            continue
+        key = tuple(map(get, args))
+        if kind == REL:
+            if key in rels[name]:
+                continue
+        else:
+            v = funcs[name].get(key)
+            if v is not None:
+                vals[out] = v
+                continue
+        if not holes:
+            return False
+        if UNK not in key:
+            cell = (name, key)
+            if cell not in holes:
+                return False
+            touched.append(cell)
+            known = False
+        if kind != REL:
+            vals[out] = UNK
+    return True if known else None
+
+
+def reference_enumerate(theory, sizes):
+    """The enumerator before buckets and forcing: every assignment scans the
+    whole pending list for the instances that watch the cell."""
+    sig = theory.signature
+    carriers = {s: tuple(f"{semantics._sort_tag(s)}{i}"
+                         for i in range(sizes.get(s, 0))) for s in sig.sorts}
+    totalish = semantics._totalish_functions(theory)
+
+    def func_rank(d: FuncDecl):
+        if not d.arg_sorts:
+            return (0, 0, d.name)
+        if d.name in totalish:
+            return (1, len(d.arg_sorts), d.name)
+        return (2, len(d.arg_sorts), d.name)
+
+    cells = []
+    for f in sorted(sig.functions, key=func_rank):
+        options = list(carriers[f.result]) + [None]
+        for args in itertools.product(*(carriers[s] for s in f.arg_sorts)):
+            cells.append((f.name, args, options))
+    for r in sorted(sig.relations, key=lambda d: (len(d.arg_sorts), d.name)):
+        for args in itertools.product(*(carriers[s] for s in r.arg_sorts)):
+            cells.append((r.name, args, [None, True]))
+
+    funcs = {f.name: {} for f in sig.functions}
+    rels = {r.name: {} for r in sig.relations}
+    tables = {**funcs, **rels}
+    holes = {(name, args) for name, args, _ in cells}
+
+    instances = []
+    for ax in theory.axioms:
+        seq = ax.sequent
+        clause = flatten(seq.context.names, seq.premise, seq.conclusion)
+        for tup in itertools.product(*(carriers[s] for _, s in seq.context.vars)):
+            instances.append((clause.premise, clause.conclusion,
+                              semantics._slots(clause, tup)))
+    watch = [frozenset()] * len(instances)
+
+    def status(k):
+        premise, conclusion, vals = instances[k]
+        touched = []
+        p = (reference_read(premise, vals, funcs, rels, holes, touched)
+             if premise else True)
+        if p is False:
+            return True
+        c = reference_read(conclusion, vals, funcs, rels, holes, touched)
+        if c is True:
+            return True
+        if p is True and c is False:
+            return False
+        watch[k] = frozenset(touched)
+        return None
+
+    def freeze(count):
+        return PartialStructure(f"M{count}", sig, dict(carriers),
+                                {f: dict(t) for f, t in funcs.items()},
+                                {r: frozenset(t) for r, t in rels.items()})
+
+    count = 0
+
+    def rec(i, unknown):
+        nonlocal count
+        if i == len(cells):
+            if all(status(k) for k in unknown):
+                count += 1
+                yield freeze(count)
+            return
+        name, args, options = cells[i]
+        cell = (name, args)
+        table = tables[name]
+        holes.remove(cell)
+        for value in options:
+            if value is None:
+                table.pop(args, None)
+            else:
+                table[args] = value
+            still, trail, ok = [], [], True
+            for k in unknown:
+                if cell not in watch[k]:
+                    still.append(k)
+                    continue
+                trail.append((k, watch[k]))
+                st = status(k)
+                if st is False:
+                    ok = False
+                    break
+                if st is None:
+                    still.append(k)
+            if ok:
+                yield from rec(i + 1, still)
+            for k, old in trail:
+                watch[k] = old
+        table.pop(args, None)
+        holes.add(cell)
+
+    initial = []
+    for k in range(len(instances)):
+        st = status(k)
+        if st is False:
+            return
+        if st is None:
+            initial.append(k)
+    yield from rec(0, initial)
+
+
+def random_tables(rng, sig, carriers):
+    """Random partial tables on the given carriers, each cell assigned a
+    value, left undefined (false, for a relation), or left a hole."""
+    funcs = {f.name: {} for f in sig.functions}
+    rels = {r.name: set() for r in sig.relations}
+    holes = set()
+    for d in (*sig.functions, *sig.relations):
+        for args in itertools.product(*(carriers[s] for s in d.arg_sorts)):
+            roll = rng.random()
+            if roll < 0.3:
+                holes.add((d.name, args))
+            elif roll < 0.5:
+                continue
+            elif d.name in rels:
+                rels[d.name].add(args)
+            elif carriers[d.result]:
+                funcs[d.name][args] = rng.choice(carriers[d.result])
+    return funcs, rels, holes
+
+
+def assert_reads_agree(clause, tup, funcs, rels, holes):
+    """The premise, then the conclusion over the same slots, as the
+    enumerator reads an instance: same answers, slots and touched cells."""
+    want_vals = semantics._slots(clause, tup)
+    got_vals = list(want_vals)
+    want_touched, got_touched = [], []
+    for atoms in (clause.premise, clause.conclusion):
+        want = reference_read(atoms, want_vals, funcs, rels, holes, want_touched)
+        got = semantics._reader(atoms)(got_vals, funcs, rels, holes, got_touched)
+        assert got is want
+        assert got_vals == want_vals and got_touched == want_touched
+
+
+def models_text(models):
+    return [print_model(m) for m in models]
+
+
+CAPTURE = """\
+theory capture
+sorts: vals U
+fun funcs : vals vals -> vals;
+fun holes : -> vals;
+fun touched : vals -> vals;
+fun known : vals -> U;
+fun c : U U -> U;
+rel rels : vals vals;
+rel read : U;
+rel v0 : vals;
+rel t0 : U;
+axiom known [vals:vals, U:vals] rels(vals, U) |- funcs(vals, U) = funcs(U, vals);
+axiom c [vals:vals] true |- funcs(vals, holes) = vals /\\ def(touched(vals));
+axiom touched [vals:vals] v0(vals) |- touched(touched(vals)) = vals /\\ t0(known(vals));
+axiom t0 [vals:U, U:U] read(vals) /\\ c(vals, U) = U |- read(U) /\\ c(U, vals) = c(vals, U);
+axiom v0 [vals:vals] true |- v0(vals) /\\ rels(vals, vals);
+axiom read [U:U] t0(U) |- read(U) /\\ def(c(U, U));
+"""
+
+
+class TestCompiledReader:
+    @pytest.mark.parametrize("theory_fn, sizes", [
+        (pos_theory, {"*": 3}), (preorder_theory, {"*": 3}),
+        (mon_theory, {"*": 3}), (cat_theory, {"ob": 2, "mor": 3}),
+    ])
+    def test_agrees_with_interpreted_read(self, theory_fn, sizes):
+        theory = theory_fn()
+        sig = theory.signature
+        carriers = {s: tuple(f"e{i}" for i in range(sizes[s])) for s in sig.sorts}
+        rng = random.Random(8080)
+        for _ in range(40):
+            seq = random_sequent(rng, theory, max_vars=3, max_atoms=3, depth=2)
+            clause = flatten(seq.context.names, seq.premise, seq.conclusion)
+            for _ in range(4):
+                funcs, rels, holes = random_tables(rng, sig, carriers)
+                for tup in itertools.product(*(carriers[s] for _, s in
+                                               seq.context.vars)):
+                    assert_reads_agree(clause, tup, funcs, rels, holes)
+                    assert_reads_agree(clause, tup, funcs, rels, frozenset())
+
+    def test_symbols_named_like_generated_locals(self):
+        # every symbol and sort, and some variables, are named like a local
+        # of the compiled readers
+        theory = parse_theory(CAPTURE)
+        sig = theory.signature
+        sizes = {"vals": 2, "U": 2}
+        carriers = {s: tuple(f"{s}{i}" for i in range(sizes[s])) for s in sig.sorts}
+        rng = random.Random(11)
+        for ax in theory.axioms:
+            seq = ax.sequent
+            clause = flatten(seq.context.names, seq.premise, seq.conclusion)
+            for _ in range(20):
+                funcs, rels, holes = random_tables(rng, sig, carriers)
+                for tup in itertools.product(*(carriers[s] for _, s in
+                                               seq.context.vars)):
+                    assert_reads_agree(clause, tup, funcs, rels, holes)
+        for profile in ({"vals": 1, "U": 2}, {"vals": 2, "U": 1}):
+            models = models_text(enumerate_structures(theory, profile))
+            assert models == models_text(reference_enumerate(theory, profile))
+            assert len(models) == {1: 192, 2: 48}[profile["vals"]]
+        # holds and interp_term on random structures, most of them not models
+        ctx = Context((("vals", "vals"), ("U", "vals")))
+        term = App("touched", (App("funcs", (Var("vals"), Var("U"))),))
+        term_clause = flatten(ctx.names, defined(term))
+        for _ in range(30):
+            funcs, rels, _ = random_tables(rng, sig, carriers)
+            m = make_structure("m", sig, carriers, funcs, rels)
+            funcs, rels = semantics._tables(m)
+            for ax in theory.axioms:
+                seq = ax.sequent
+                clause = flatten(seq.context.names, seq.premise, seq.conclusion)
+                witness = next((tup for tup in context_tuples(m, seq.context)
+                                if reference_violated(clause, tup, funcs, rels)),
+                               None)
+                assert holds(m, seq) == HoldsResult(witness is None, witness)
+            for tup in context_tuples(m, ctx):
+                vals = semantics._slots(term_clause, tup)
+                ok = reference_read(term_clause.premise, vals, funcs, rels,
+                                    frozenset(), None)
+                want = vals[term_clause.terms.index(term)] if ok else None
+                assert interp_term(m, ctx, term, tup) == want
+
+
+def reference_violated(clause, tup, funcs, rels) -> bool:
+    vals = semantics._slots(clause, tup)
+    return bool(reference_read(clause.premise, vals, funcs, rels, frozenset(),
+                               None)) and \
+        not reference_read(clause.conclusion, vals, funcs, rels, frozenset(), None)
+
+
+def pb_profile(s0, s1, t, w):
+    return {"s0": s0, "s1": s1, "t": t, "w": w}
+
+
+class TestPropagatingEnumerator:
+    @pytest.mark.parametrize("theory_fn, max_size", [
+        (pos_theory, 4), (preorder_theory, 3), (mon_theory, 3),
+    ])
+    def test_same_models_as_scanning_enumerator(self, theory_fn, max_size):
+        theory = theory_fn()
+        for sizes in size_profiles(theory.signature.sorts, max_size):
+            assert models_text(enumerate_structures(theory, sizes)) == \
+                models_text(reference_enumerate(theory, sizes))
+
+    def test_same_models_for_categories(self):
+        theory = cat_theory()
+        for ob, mor in itertools.product(range(3), range(4)):
+            sizes = {"ob": ob, "mor": mor}
+            assert models_text(enumerate_structures(theory, sizes)) == \
+                models_text(reference_enumerate(theory, sizes))
+
+    @pytest.mark.parametrize("sketch_fn, sizes, count", [
+        (product_sketch, {"s1": 1, "s2": 3, "v": 3}, 6),
+        (product_sketch, {"s1": 2, "s2": 2, "v": 4}, 24),
+        (pullback_sketch, pb_profile(2, 2, 2, 2), 24),
+        (pullback_sketch, pb_profile(3, 2, 2, 2), 12),
+    ])
+    def test_same_models_for_sketch_theories(self, sketch_fn, sizes, count):
+        theory = sketch_to_pht(sketch_fn())
+        got = models_text(enumerate_structures(theory, sizes))
+        assert len(got) == count
+        assert got == models_text(reference_enumerate(theory, sizes))
