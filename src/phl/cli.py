@@ -78,7 +78,7 @@ def _load_theory(ws: Workspace, path: str) -> Theory:
 
 
 def _load_model(ws: Workspace, path: str, theory: Theory) -> sm.PartialStructure:
-    m, claimed = sm.parse_model(_read(path), theory.signature)
+    m, _ = sm.parse_model(_read(path), theory.signature)
     ws.add_model(m)
     return m
 

@@ -121,14 +121,14 @@ def factorize(h: Homomorphism) -> FactorizationResult:
 
 def orthogonal(m: PartialStructure, e: Homomorphism) -> bool:
     """Whether every map from the domain of e into m factors uniquely
-    through e."""
-    homs_dom = enumerate_homs(e.source, m)
+    through e: restriction along e is a bijection from the homs out of the
+    codomain onto the homs out of the domain.  Each restriction is already a
+    hom out of the domain, so it suffices that the restrictions are pairwise
+    distinct and as many as the homs out of the domain."""
     homs_cod = enumerate_homs(e.target, m)
-    for g in homs_dom:
-        fillers = [h for h in homs_cod if compose_homs(h, e).maps == g.maps]
-        if len(fillers) != 1:
-            return False
-    return True
+    restrictions = {tuple(tuple(compose_homs(h, e).maps[s].values())
+                          for s in e.source.signature.sorts) for h in homs_cod}
+    return len(restrictions) == len(homs_cod) == len(enumerate_homs(e.source, m))
 
 
 def diagonal_fillers(e: Homomorphism, mno: Homomorphism, u: Homomorphism,

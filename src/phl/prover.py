@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from typing import get_args
 
 from .freemodel import (
     DEFAULT_WORK_BUDGET, ModelPresentation, SaturationStatus, TraceEvent,
@@ -17,9 +18,9 @@ from .semantics import PartialStructure, enumerate_models, formula_holds_at, \
 from .syntax import (
     App, Conj, Context, Eq, Formula, PhlError, RelApp, Sequent, Signature, Term,
     Theory, Truth, TRUE, Var, atoms, conj, defined, free_vars, is_definedness,
-    parse_context_tokens, parse_sequent, print_formula, print_sequent,
-    print_term, infer_sort, subst_formula, subst_term, subterms, well_formed,
-    TokenStream, _parse_formula_tokens, _parse_term_tokens,
+    parse_context_tokens, parse_sequent, print_context, print_formula,
+    print_sequent, print_term, infer_sort, subst_formula, subst_term, subterms,
+    well_formed, TokenStream, _parse_formula_tokens, _parse_term_tokens,
 )
 
 
@@ -240,11 +241,7 @@ def check_rule(instance: RuleInstance, premises: list[Sequent],
         for p in premises[1:]:
             _require(p.context == ctx, "IConj premises have different contexts")
             _require(p.premise == phi, "IConj premises have different left sides")
-        if len(premises) == 1:
-            concl: Formula = Conj((premises[0].conclusion,))
-        else:
-            concl = Conj(tuple(p.conclusion for p in premises))
-        return Sequent(ctx, phi, concl)
+        return Sequent(ctx, phi, Conj(tuple(p.conclusion for p in premises)))
 
     raise RuleError(f"unknown rule instance {instance!r}")
 
@@ -489,16 +486,9 @@ def _axiom_step(theory, ctx, phi, psi, ax, fuel):
         unbound = [n for n in ax.sequent.context.names if n not in binding]
         if len(unbound) > 2:
             continue
-        spaces = []
-        feasible = True
-        for n in unbound:
-            sort = ax.sequent.context.sort_of(n)
-            cands = _candidate_terms(sig, ctx, phi, sort)
-            if not cands:
-                feasible = False
-                break
-            spaces.append(cands)
-        if not feasible:
+        spaces = [_candidate_terms(sig, ctx, phi, ax.sequent.context.sort_of(n))
+                  for n in unbound]
+        if not all(spaces):
             continue
         have = set(atoms(phi))
 
@@ -758,119 +748,99 @@ def derive_subst_term_lemma(sig: Signature, target: Context, tau: Term,
 # ---------------------------------------------------------------------------
 # derivation text format
 
-def _ctx_str(ctx: Context) -> str:
-    return "[" + ", ".join(f"{n}:{s}" for n, s in ctx.vars) + "]"
+def _parsed(parse, text: str, *args):
+    """Run a token parser over the whole of `text`."""
+    ts = TokenStream(text)
+    out = parse(ts, *args)
+    ts.expect("eof")
+    return out
 
 
-def _rule_data(instance: RuleInstance) -> dict:
-    if isinstance(instance, AxiomRule):
-        return {"name": instance.name}
-    if isinstance(instance, IdRule):
-        return {"ctx": _ctx_str(instance.context),
-                "formula": print_formula(instance.formula)}
-    if isinstance(instance, CutRule):
-        return {}
-    if isinstance(instance, SubstRule):
-        return {"target": _ctx_str(instance.target),
-                "sub": {n: print_term(t) for n, t in instance.assignment}}
-    if isinstance(instance, ReflRule):
-        return {"ctx": _ctx_str(instance.context), "i": instance.index}
-    if isinstance(instance, EqRule):
-        return {"formula": print_formula(instance.formula),
-                "xs": _ctx_str(instance.xs), "ys": _ctx_str(instance.ys),
-                "ctx": _ctx_str(instance.context)}
-    if isinstance(instance, SRelRule):
-        return {"ctx": _ctx_str(instance.context), "rel": instance.rel,
-                "args": [print_term(t) for t in instance.args], "i": instance.index}
-    if isinstance(instance, SEqRule):
-        return {"ctx": _ctx_str(instance.context), "lhs": print_term(instance.lhs),
-                "rhs": print_term(instance.rhs), "side": instance.side}
-    if isinstance(instance, SFunRule):
-        return {"ctx": _ctx_str(instance.context), "fun": instance.func,
-                "args": [print_term(t) for t in instance.args], "i": instance.index}
-    if isinstance(instance, EConjRule):
-        return {"ctx": _ctx_str(instance.context),
-                "parts": [print_formula(p, nested=True) for p in instance.parts],
-                "i": instance.index}
-    if isinstance(instance, IConjRule):
-        out = {}
-        if instance.context is not None:
-            out["ctx"] = _ctx_str(instance.context)
-        if instance.premise is not None:
-            out["premise"] = print_formula(instance.premise)
-        return out
-    raise RuleError(f"unknown instance {instance!r}")
+def _term(text: str, sig: Signature, ctx: Context) -> Term:
+    return _parsed(_parse_term_tokens, text, sig, ctx)
+
+
+def _formula(text: str, sig: Signature, ctx: Context) -> Formula:
+    return _parsed(_parse_formula_tokens, text, sig, ctx)
+
+
+def _same(value, *_):
+    return value
+
+
+# value kind -> (JSON type, writer, reader of (JSON value, signature, context));
+# list and object values hold strings
+_KINDS = {
+    "context": (str, print_context,
+                lambda v, sig, ctx: _parsed(parse_context_tokens, v, sig)),
+    "formula": (str, print_formula, _formula),
+    "term": (str, print_term, _term),
+    "terms": (list, lambda ts: [print_term(t) for t in ts],
+              lambda v, sig, ctx: tuple(_term(t, sig, ctx) for t in v)),
+    "conjuncts": (list, lambda fs: [print_formula(f, nested=True) for f in fs],
+                  lambda v, sig, ctx: tuple(_formula(f, sig, ctx) for f in v)),
+    "substitution": (dict, lambda sub: {n: print_term(t) for n, t in sub},
+                     lambda v, sig, ctx: tuple((n, _term(t, sig, ctx))
+                                               for n, t in v.items())),
+    "int": (int, _same, _same),
+    "str": (str, _same, _same),
+}
+
+# rule-instance field -> (JSON key, value kind)
+_FIELDS = {
+    "context": ("ctx", "context"), "target": ("target", "context"),
+    "xs": ("xs", "context"), "ys": ("ys", "context"),
+    "formula": ("formula", "formula"), "premise": ("premise", "formula"),
+    "lhs": ("lhs", "term"), "rhs": ("rhs", "term"), "args": ("args", "terms"),
+    "parts": ("parts", "conjuncts"), "assignment": ("sub", "substitution"),
+    "index": ("i", "int"), "side": ("side", "int"),
+    "name": ("name", "str"), "rel": ("rel", "str"), "func": ("fun", "str"),
+}
+
+_RULES = {cls.rule: cls for cls in get_args(RuleInstance)}
+
+_JSON_NAMES = {str: "a string", int: "an integer",
+               list: "a list of strings", dict: "an object of strings"}
 
 
 def format_derivation(d: Derivation, indent: int = 0) -> str:
-    data = json.dumps(_rule_data(d.rule), sort_keys=True)
-    line = "  " * indent + f"{print_sequent(d.sequent)}  [rule {d.rule.rule} {data}]"
+    data = {}
+    for f in fields(d.rule):
+        value = getattr(d.rule, f.name)
+        if value is not None:
+            key, kind = _FIELDS[f.name]
+            data[key] = _KINDS[kind][1](value)
+    tag = f"[rule {d.rule.rule} {json.dumps(data, sort_keys=True)}]"
+    line = "  " * indent + f"{print_sequent(d.sequent)}  {tag}"
     return "\n".join([line] + [format_derivation(c, indent + 1) for c in d.children])
 
 
-def _parse_ctx_str(text: str, sig: Signature) -> Context:
-    ts = TokenStream(text)
-    ctx = parse_context_tokens(ts, sig)
-    ts.expect("eof")
-    return ctx
-
-
-def _parse_formula_str(text: str, sig: Signature, ctx: Context) -> Formula:
-    ts = TokenStream(text)
-    f = _parse_formula_tokens(ts, sig, ctx)
-    ts.expect("eof")
-    return f
-
-
-def _parse_term_str(text: str, sig: Signature, ctx: Context) -> Term:
-    ts = TokenStream(text)
-    t = _parse_term_tokens(ts, sig, ctx)
-    ts.expect("eof")
-    return t
-
-
-def _instance_from_data(rule: str, data: dict, sig: Signature) -> RuleInstance:
-    if rule == "Axiom":
-        return AxiomRule(data["name"])
-    if rule == "Cut":
-        return CutRule()
-    if rule == "IConj":
-        ctx = _parse_ctx_str(data["ctx"], sig) if "ctx" in data else None
-        prem = (_parse_formula_str(data["premise"], sig, ctx)
-                if "premise" in data else None)
-        return IConjRule(ctx, prem)
-    ctx = _parse_ctx_str(data["ctx"], sig) if "ctx" in data else None
-    if rule == "Id":
-        return IdRule(ctx, _parse_formula_str(data["formula"], sig, ctx))
-    if rule == "Subst":
-        target = _parse_ctx_str(data["target"], sig)
-        sub = tuple((n, _parse_term_str(t, sig, target))
-                    for n, t in data["sub"].items())
-        return SubstRule(target, sub)
-    if rule == "Refl":
-        return ReflRule(ctx, data["i"])
-    if rule == "Eq":
-        xs = _parse_ctx_str(data["xs"], sig)
-        ys = _parse_ctx_str(data["ys"], sig)
-        ambient = _parse_ctx_str(data["ctx"], sig)
-        return EqRule(_parse_formula_str(data["formula"], sig, ambient),
-                      xs, ys, ambient)
-    if rule == "SRel":
-        return SRelRule(ctx, data["rel"],
-                        tuple(_parse_term_str(t, sig, ctx) for t in data["args"]),
-                        data["i"])
-    if rule == "SEq":
-        return SEqRule(ctx, _parse_term_str(data["lhs"], sig, ctx),
-                       _parse_term_str(data["rhs"], sig, ctx), data["side"])
-    if rule == "SFun":
-        return SFunRule(ctx, data["fun"],
-                        tuple(_parse_term_str(t, sig, ctx) for t in data["args"]),
-                        data["i"])
-    if rule == "EConj":
-        return EConjRule(ctx,
-                         tuple(_parse_formula_str(p, sig, ctx) for p in data["parts"]),
-                         data["i"])
-    raise RuleError(f"unknown rule name '{rule}'")
+def _instance_from_data(name: str, data: dict, sig: Signature) -> RuleInstance:
+    """Read each field of the named rule from its JSON key; terms and formulas
+    are parsed in the instance's context (the target context for Subst)."""
+    cls = _RULES.get(name)
+    if cls is None:
+        raise RuleError(f"unknown rule name '{name}'")
+    if type(data) is not dict:
+        raise RuleError(f"{name} rule data must be a JSON object")
+    present = {}
+    for f in fields(cls):
+        key, kind = _FIELDS[f.name]
+        if key not in data:
+            if f.default is MISSING:
+                raise RuleError(f"{name} rule data lacks key '{key}'")
+            continue
+        value, json_type = data[key], _KINDS[kind][0]
+        items = (value.values() if type(value) is dict else
+                 value if type(value) is list else ())
+        if type(value) is not json_type or any(type(v) is not str for v in items):
+            raise RuleError(f"{name} rule data: '{key}' must be "
+                            f"{_JSON_NAMES[json_type]}")
+        present[f.name] = value
+    home = present.get("target" if cls is SubstRule else "context")
+    ctx = Context(()) if home is None else _parsed(parse_context_tokens, home, sig)
+    return cls(**{f: _KINDS[_FIELDS[f][1]][2](value, sig, ctx)
+                  for f, value in present.items()})
 
 
 def parse_derivation(text: str, sig: Signature) -> Derivation:
@@ -888,8 +858,7 @@ def parse_derivation(text: str, sig: Signature) -> Derivation:
         tag = line[m + len("[rule "):].rstrip()
         if not tag.endswith("]"):
             raise PhlError(f"unterminated rule tag: {line!r}")
-        tag = tag[:-1]
-        name, _, payload = tag.partition(" ")
+        name, _, payload = tag[:-1].partition(" ")
         try:
             data = json.loads(payload) if payload.strip() else {}
         except json.JSONDecodeError as e:
@@ -907,11 +876,8 @@ def parse_derivation(text: str, sig: Signature) -> Derivation:
         children = []
         j = i + 1
         while j < len(entries) and entries[j][0] > indent:
-            if entries[j][0] == indent + 1:
-                child, j = build(j, indent + 1)
-                children.append(child)
-            else:
-                raise PhlError("bad indentation in derivation")
+            child, j = build(j, indent + 1)   # raises unless one deeper
+            children.append(child)
         return Derivation(seq, instance, tuple(children)), j
 
     root, end = build(0, entries[0][0])

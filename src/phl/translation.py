@@ -14,9 +14,9 @@ from .semantics import (
 from .syntax import (
     App, Conj, Context, Eq, Formula, FuncDecl, NamedAxiom, PhlError, RelApp,
     Sequent, Signature, Term, Theory, TokenStream, Truth, TRUE, Var,
-    conj, conjuncts, defined, free_vars, infer_sort, parse_context_tokens,
+    atoms, conj, conjuncts, defined, free_vars, infer_sort, parse_context_tokens,
     print_context, print_formula, print_term, subst_formula, subst_term,
-    well_formed, _parse_formula_tokens, _parse_term_tokens,
+    subterms, well_formed, _parse_formula_tokens, _parse_term_tokens,
 )
 
 
@@ -150,14 +150,6 @@ def _definedness_obligations(rho: TheoryMorphism, t: Term) -> list[Formula]:
     return out
 
 
-def _dedupe(parts):
-    seen = []
-    for p in parts:
-        if p not in seen:
-            seen.append(p)
-    return seen
-
-
 def translate_formula(rho: TheoryMorphism, f: Formula) -> Formula:
     if isinstance(f, Truth):
         return f
@@ -167,7 +159,7 @@ def translate_formula(rho: TheoryMorphism, f: Formula) -> Formula:
         extras = _definedness_obligations(rho, f.lhs) + \
             _definedness_obligations(rho, f.rhs)
         core = Eq(translate_term(rho, f.lhs), translate_term(rho, f.rhs))
-        return conj(_dedupe([core] + extras))
+        return conj(dict.fromkeys([core] + extras))
     a = rho.rel_map[f.rel]
     extras = []
     for p, arg in zip(a.params, f.args):
@@ -176,7 +168,7 @@ def translate_formula(rho: TheoryMorphism, f: Formula) -> Formula:
             extras.append(defined(translate_term(rho, arg)))
     assignment = {p: translate_term(rho, arg) for p, arg in zip(a.params, f.args)}
     core = subst_formula(a.formula, assignment)
-    return conj(_dedupe(list(conjuncts(core)) + extras))
+    return conj(dict.fromkeys([*conjuncts(core), *extras]))
 
 
 def translate_sequent(rho: TheoryMorphism, seq: Sequent) -> Sequent:
@@ -249,14 +241,10 @@ def U_rho(rho: TheoryMorphism, m: PartialStructure,
     return out
 
 
-def U_rho_hom(rho: TheoryMorphism, h: Homomorphism,
-              u_src: PartialStructure | None = None,
-              u_tgt: PartialStructure | None = None) -> Homomorphism:
-    src_sig = rho.source.signature
-    u_src = u_src or U_rho(rho, h.source)
-    u_tgt = u_tgt or U_rho(rho, h.target)
-    maps = {s: dict(h.maps[rho.map_sort(s)]) for s in src_sig.sorts}
-    return Homomorphism(f"U_{h.name}", u_src, u_tgt, maps)
+def U_rho_hom(rho: TheoryMorphism, h: Homomorphism) -> Homomorphism:
+    maps = {s: dict(h.maps[rho.map_sort(s)]) for s in rho.source.signature.sorts}
+    return Homomorphism(f"U_{h.name}", U_rho(rho, h.source),
+                        U_rho(rho, h.target), maps)
 
 
 def F_rho(rho: TheoryMorphism, p: ModelPresentation, depth: int) -> ModelPresentation:
@@ -309,31 +297,12 @@ def _relative_diagnostics(rt: RelativeTheory) -> list[str]:
     for j in rt.judgments:
         diags = well_formed(j.sequent, ext_sig)
         out.extend(f"judgment '{j.name}': {d}" for d in diags)
-        prem_funcs = _function_symbols(j.sequent.premise)
+        prem_funcs = {t.func for a in atoms(j.sequent.premise)
+                      for arg in ((a.lhs, a.rhs) if isinstance(a, Eq) else a.args)
+                      for t in subterms(arg) if isinstance(t, App)}
         foreign = prem_funcs - base_symbols
         if foreign:
             out.append(f"judgment '{j.name}' premise uses operators {sorted(foreign)}")
-    return out
-
-
-def _function_symbols(f: Formula) -> set[str]:
-    out: set[str] = set()
-
-    def walk_term(t: Term):
-        if isinstance(t, App):
-            out.add(t.func)
-            for a in t.args:
-                walk_term(a)
-
-    for a in conjuncts(f):
-        if isinstance(a, Eq):
-            walk_term(a.lhs)
-            walk_term(a.rhs)
-        elif isinstance(a, RelApp):
-            for t in a.args:
-                walk_term(t)
-        elif isinstance(a, Conj):
-            out |= _function_symbols(a)
     return out
 
 
@@ -489,6 +458,9 @@ def _sketch_diagnostics(sk: Sketch) -> list[str]:
         names.add(a.name)
         if a.src not in sk.objects or a.tgt not in sk.objects:
             out.append(f"arrow '{a.name}' has unknown endpoints")
+    for obj in sk.objects:
+        if obj not in sk.identities:
+            out.append(f"missing identity for '{obj}'")
     for obj, ident in sk.identities.items():
         a = sk.arrow(ident)
         if a is None or a.src != obj or a.tgt != obj:

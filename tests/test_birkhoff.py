@@ -12,7 +12,8 @@ from phl.birkhoff import (
 )
 from phl.morphology import closed_submodel_generated
 from phl.semantics import (
-    SemanticsError, enumerate_models, holds, make_structure, product,
+    Homomorphism, SemanticsError, check_hom, enumerate_models, holds,
+    make_structure, partial_hom_ok, product,
 )
 from phl.syntax import NamedAxiom, parse_sequent
 from phl.theories import (
@@ -112,6 +113,67 @@ class TestIsoIndex:
         for m in mixed:
             assert u.contains_iso(m) == any(
                 find_iso(m, n) is not None for n in u.models), m.name
+
+
+def reference_find_iso(m, n):
+    """The two-sided search find_iso ran before: the map and its inverse are
+    both checked as they grow, and both again at the end."""
+    if m.signature != n.signature or birkhoff.iso_key(m) != birkhoff.iso_key(n):
+        return None
+    inv_m = birkhoff._element_invariants(m)
+    inv_n = birkhoff._element_invariants(n)
+    todo = [(s, a) for s in m.signature.sorts for a in m.carrier(s)]
+    assigned = {s: {} for s in m.signature.sorts}
+    inverse = {s: {} for s in m.signature.sorts}
+
+    def rec(i):
+        if i == len(todo):
+            return True
+        s, a = todo[i]
+        for b in n.carrier(s):
+            if b in inverse[s] or inv_n[s][b] != inv_m[s][a]:
+                continue
+            assigned[s][a] = b
+            inverse[s][b] = a
+            if partial_hom_ok(m, n, assigned) and \
+                    partial_hom_ok(n, m, inverse) and rec(i + 1):
+                return True
+            del assigned[s][a]
+            del inverse[s][b]
+        return False
+
+    if not rec(0):
+        return None
+    h = Homomorphism("iso", m, n, {s: dict(t) for s, t in assigned.items()})
+    hinv = Homomorphism("iso_inv", n, m, {s: dict(t) for s, t in inverse.items()})
+    if not (check_hom(h) and check_hom(hinv)):
+        return None
+    return h, hinv
+
+
+class TestOneSidedIsoSearch:
+    """find_iso checks only the forward map; the two-sided search is the
+    oracle."""
+
+    @pytest.mark.parametrize("theory", [preorder_theory(), mon_inv_theory()],
+                             ids=["preord", "mon_inv"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_maps_as_two_sided_search(self, theory, seed):
+        rng = random.Random(seed)
+        models = list(enumerate_models(theory, 3))
+        copies = [relabelled(m, rng, f"{rng.choice('AMZ')}{i}")
+                  for i, m in enumerate(rng.sample(models, len(models) // 2))]
+        mixed = models + copies
+        rng.shuffle(mixed)
+        hits = 0
+        for m in mixed:
+            for n in mixed:
+                got, want = find_iso(m, n), reference_find_iso(m, n)
+                assert (got is None) == (want is None), (m.name, n.name)
+                if got is not None:
+                    hits += 1
+                    assert [h.maps for h in got] == [h.maps for h in want]
+        assert hits > len(mixed)   # some pairs are distinct isomorphic models
 
 
 def reference_witnesses(closure, pool, arity_cap, u_hom=None):

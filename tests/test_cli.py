@@ -219,6 +219,15 @@ class TestSketch:
         assert "fun tup0 : s1 s2 -> v;" in out
         assert "axiom prod0_beta" in out
 
+    def test_sketch_missing_an_identity(self, capsys, tmp_path):
+        path = tmp_path / "gap.sk"
+        path.write_text("sketch gap\nobjects: a b;\narrow ia : a -> a;\n"
+                        "identity a = ia;\ncompose ia ia = ia;\n")
+        code, out, err = run(capsys, "sketch2pht", path)
+        assert code == 11
+        assert out == ""
+        assert "missing identity for 'b'" in err
+
 
 class TestBirkhoff:
     def test_poset_experiment(self, files, capsys, tmp_path):

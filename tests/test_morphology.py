@@ -287,6 +287,32 @@ class TestOrthogonality:
             assert holds(m, antisym).ok == orthogonal(m, e)
 
 
+def reference_orthogonal(m, e):
+    """Orthogonality by counting the fillers of every hom out of dom(e)."""
+    homs_cod = enumerate_homs(e.target, m)
+    for g in enumerate_homs(e.source, m):
+        fillers = [h for h in homs_cod if compose_homs(h, e).maps == g.maps]
+        if len(fillers) != 1:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("theory, size", [(pos_theory(), 3), (mon_theory(), 2)],
+                         ids=["pos", "mon"])
+def test_orthogonal_matches_filler_count(theory, size):
+    """Counting restrictions decides orthogonality as the filler count does,
+    for every arrow between models of size <= 2."""
+    models = enumerate_models(theory, size)
+    small = [m for m in models if m.size() <= 2]
+    answers = set()
+    for e in (h for a in small for b in small for h in enumerate_homs(a, b)):
+        for m in models:
+            got = orthogonal(m, e)
+            assert got == reference_orthogonal(m, e), (m.name, e)
+            answers.add(got)
+    assert answers == {True, False}
+
+
 class TestDiagonalFillers:
     def test_unique_filler_for_dense_vs_closed(self, pos, mon):
         theory = mon_theory()

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from phl import prover
@@ -430,3 +432,112 @@ class TestDerivationFormat:
             d2 = parse_derivation(text, theory.signature)
             assert check_derivation(theory, d2).ok
             assert format_derivation(d2) == text
+
+
+def pinned_derivations(pos, mon):
+    """One derivation of each rule kind, with the text format_derivation gave
+    before the derivation codec was driven by the rule fields."""
+    ps, ms = pos.signature, mon.signature
+    c = ctx(("x", "*"), ("y", "*"))
+    leq = RelApp("leq", (X, Y))
+    return [
+        (pos, rule_node(AxiomRule("trans"), (), ps, pos),
+         '[x:*, y:*, z:*] leq(x, y) /\\ leq(y, z) |- leq(x, z)'
+         '  [rule Axiom {"name": "trans"}]'),
+        (pos, rule_node(IdRule(c, leq), (), ps),
+         '[x:*, y:*] leq(x, y) |- leq(x, y)'
+         '  [rule Id {"ctx": "[x:*, y:*]", "formula": "leq(x, y)"}]'),
+        (pos, derive_defined_var(ps, c, leq, 1),
+         '[x:*, y:*] leq(x, y) |- def(y)  [rule Cut {}]\n'
+         '  [x:*, y:*] leq(x, y) |- true'
+         '  [rule IConj {"ctx": "[x:*, y:*]", "premise": "leq(x, y)"}]\n'
+         '  [x:*, y:*] true |- def(y)'
+         '  [rule Refl {"ctx": "[x:*, y:*]", "i": 1}]'),
+        (mon, rule_node(SubstRule(c, (("x", App("mul", (X, Y))),)),
+                        (rule_node(AxiomRule("unit"), (), ms, mon),), ms),
+         '[x:*, y:*] true /\\ def(mul(x, y)) |- mul(mul(x, y), e) = mul(x, y)'
+         ' /\\ mul(e, mul(x, y)) = mul(x, y)'
+         '  [rule Subst {"sub": {"x": "mul(x, y)"}, "target": "[x:*, y:*]"}]\n'
+         '  [x:*] true |- mul(x, e) = x /\\ mul(e, x) = x'
+         '  [rule Axiom {"name": "unit"}]'),
+        (pos, rule_node(EqRule(formula=RelApp("leq", (X, Z)),
+                               xs=ctx(("x", "*")), ys=ctx(("y", "*")),
+                               context=ctx(("x", "*"), ("y", "*"), ("z", "*"))),
+                        (), ps),
+         '[x:*, y:*, z:*] leq(x, z) /\\ x = y |- leq(y, z)'
+         '  [rule Eq {"ctx": "[x:*, y:*, z:*]", "formula": "leq(x, z)",'
+         ' "xs": "[x:*]", "ys": "[y:*]"}]'),
+        (pos, rule_node(SRelRule(c, "leq", (X, Y), 0), (), ps),
+         '[x:*, y:*] leq(x, y) |- def(x)  [rule SRel {"args": ["x", "y"],'
+         ' "ctx": "[x:*, y:*]", "i": 0, "rel": "leq"}]'),
+        (mon, rule_node(SEqRule(c, App("mul", (X, Y)), X, 1), (), ms),
+         '[x:*, y:*] mul(x, y) = x |- def(x)  [rule SEq {"ctx": "[x:*, y:*]",'
+         ' "lhs": "mul(x, y)", "rhs": "x", "side": 1}]'),
+        (mon, rule_node(SFunRule(c, "mul", (X, Y), 1), (), ms),
+         '[x:*, y:*] def(mul(x, y)) |- def(y)  [rule SFun {"args": ["x", "y"],'
+         ' "ctx": "[x:*, y:*]", "fun": "mul", "i": 1}]'),
+        (pos, rule_node(EConjRule(c, (leq, Conj((defined(X), defined(Y)))), 1),
+                        (), ps),
+         '[x:*, y:*] leq(x, y) /\\ (def(x) /\\ def(y)) |- def(x) /\\ def(y)'
+         '  [rule EConj {"ctx": "[x:*, y:*]", "i": 1,'
+         ' "parts": ["leq(x, y)", "(def(x) /\\\\ def(y))"]}]'),
+        (pos, derive_conj_permutation(ps, c, (leq, defined(X)), (1, 0)),
+         '[x:*, y:*] leq(x, y) /\\ def(x) |- def(x) /\\ leq(x, y)'
+         '  [rule IConj {}]\n'
+         '  [x:*, y:*] leq(x, y) /\\ def(x) |- def(x)  [rule EConj'
+         ' {"ctx": "[x:*, y:*]", "i": 1, "parts": ["leq(x, y)", "def(x)"]}]\n'
+         '  [x:*, y:*] leq(x, y) /\\ def(x) |- leq(x, y)  [rule EConj'
+         ' {"ctx": "[x:*, y:*]", "i": 0, "parts": ["leq(x, y)", "def(x)"]}]'),
+    ]
+
+
+class TestDerivationCodec:
+    def test_pinned_text_of_each_rule(self, pos, mon):
+        cases = pinned_derivations(pos, mon)
+        kinds = set()
+
+        def walk(d):
+            kinds.add(d.rule.rule)
+            for child in d.children:
+                walk(child)
+
+        for theory, d, text in cases:
+            walk(d)
+            assert format_derivation(d) == text
+            assert parse_derivation(text, theory.signature) == d
+        assert kinds == {"Axiom", "Id", "Cut", "Subst", "Refl", "Eq", "SRel",
+                         "SEq", "SFun", "EConj", "IConj"}
+
+    @pytest.mark.parametrize("tag, message", [
+        ('[rule Refl {"ctx": "[x:*]"}]', "Refl rule data lacks key 'i'"),
+        ('[rule Refl {"i": 0}]', "Refl rule data lacks key 'ctx'"),
+        ('[rule Refl {"ctx": "[x:*]", "i": "0"}]',
+         "Refl rule data: 'i' must be an integer"),
+        ('[rule Refl {"ctx": "[x:*]", "i": true}]',
+         "Refl rule data: 'i' must be an integer"),
+        ('[rule Refl {"ctx": ["x"], "i": 0}]',
+         "Refl rule data: 'ctx' must be a string"),
+        ('[rule SRel {"ctx": "[x:*]", "rel": "leq", "args": ["x", 1], "i": 0}]',
+         "SRel rule data: 'args' must be a list of strings"),
+        ('[rule Subst {"target": "[x:*]", "sub": ["x"]}]',
+         "Subst rule data: 'sub' must be an object of strings"),
+        ('[rule Axiom {"name": 3}]', "Axiom rule data: 'name' must be a string"),
+        ('[rule Refl [0]]', "Refl rule data must be a JSON object"),
+        ('[rule Frob {}]', "unknown rule name 'Frob'"),
+    ])
+    def test_malformed_rule_data(self, pos, tag, message):
+        with pytest.raises(PhlError, match=re.escape(message)):
+            parse_derivation("[x:*] true |- def(x)  " + tag, pos.signature)
+
+    def test_bad_indentation(self, pos):
+        refl = '[x:*] true |- def(x)  [rule Refl {"ctx": "[x:*]", "i": 0}]'
+        with pytest.raises(PhlError, match="bad indentation"):
+            parse_derivation("[x:*] true |- def(x)  [rule Cut {}]\n    " + refl,
+                             pos.signature)
+        with pytest.raises(PhlError, match="multiple roots"):
+            parse_derivation(refl + "\n" + refl, pos.signature)
+
+    def test_premise_without_context(self, pos):
+        with pytest.raises(PhlError, match="unknown variable"):
+            parse_derivation('[x:*] def(x) |- true  [rule IConj'
+                             ' {"premise": "def(x)"}]', pos.signature)

@@ -8,7 +8,7 @@ from phl.semantics import (
     is_model, make_structure, size_profiles,
 )
 from phl.syntax import (
-    App, Context, Eq, NamedAxiom, RelApp, Sequent, TRUE, Var, conj, defined,
+    App, Conj, Context, Eq, NamedAxiom, RelApp, Sequent, TRUE, Var, conj, defined,
     parse_formula_in_context, parse_sequent, parse_theory, subst_formula,
 )
 from phl.theories import (
@@ -285,6 +285,16 @@ class TestRelativeTheories:
         assert pht_of(rt).axioms == pos.axioms
         assert pht_of(rt).signature == pos.signature
 
+    def test_judgment_premise_may_not_use_operators(self):
+        x, y = Var("x"), Var("y")
+        ops = [RelOperator("join", Context((("x", "*"), ("y", "*"))), TRUE, "*")]
+        nested = Eq(App("mul", (App("join", (x, y)), x)), x)
+        bad = NamedAxiom("absorb", Sequent(Context((("x", "*"), ("y", "*"))),
+                                           Conj((Eq(x, x), nested)), Eq(x, y)))
+        with pytest.raises(TranslationError,
+                           match=r"judgment 'absorb' premise uses operators \['join'\]"):
+            make_relative_theory(mon_theory(), ops, [bad])
+
     def test_semilattice_algebras(self):
         rt = semilattice_rt()
         theory = pht_of(rt)
@@ -515,6 +525,11 @@ class TestSketch:
                  ("ia", "ia"): "ia", ("ib", "ib"): "ib"},
                 {"a": "ia", "b": "ib"},
                 pullback_cones=[PullbackCone("a", ("ia", "ia"), ("f", "g"))])
+
+    def test_every_object_needs_an_identity(self):
+        with pytest.raises(TranslationError, match="missing identity for 'b'"):
+            make_sketch("gap", ("a", "b"), [SketchArrow("ia", "a", "a")],
+                        {("ia", "ia"): "ia"}, {"a": "ia"})
 
 
 class TestMorphismFormat:
