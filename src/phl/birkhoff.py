@@ -434,6 +434,8 @@ def make_finite_category(objects, arrows, identities, compose) -> FiniteCategory
 
 
 def _category_diagnostics(cat: FiniteCategory) -> list[str]:
+    """Problems with `cat` as a category; the structural checks come first
+    so the law checks below only index composites that exist."""
     out = []
     for name, (s, t) in cat.arrows.items():
         if s not in cat.objects or t not in cat.objects:
@@ -442,19 +444,21 @@ def _category_diagnostics(cat: FiniteCategory) -> list[str]:
         ident = cat.identities.get(obj)
         if ident is None or cat.arrows.get(ident) != (obj, obj):
             out.append(f"missing identity for '{obj}'")
+    out += [f"identity for unknown object '{obj}'"
+            for obj in cat.identities if obj not in cat.objects]
+    for (g, f), h in cat.compose.items():
+        ge, fe, he = (cat.arrows.get(x) for x in (g, f, h))
+        if None in (ge, fe, he) or fe[1] != ge[0] or he != (fe[0], ge[1]):
+            out.append(f"ill-typed composite ({g},{f})")
+    for g, (gs, _) in cat.arrows.items():
+        for f, (_, ft) in cat.arrows.items():
+            if ft == gs and (g, f) not in cat.compose:
+                out.append(f"missing composite ({g},{f})")
     if out:
         return out
-    for g, (gs, gt) in cat.arrows.items():
-        for f, (fs, ft) in cat.arrows.items():
-            if ft == gs:
-                h = cat.compose.get((g, f))
-                if h is None:
-                    out.append(f"missing composite ({g},{f})")
-                elif cat.arrows.get(h) != (fs, gt):
-                    out.append(f"ill-typed composite ({g},{f})")
     for f, (fs, ft) in cat.arrows.items():
-        if cat.compose.get((cat.identities[ft], f)) != f or \
-                cat.compose.get((f, cat.identities[fs])) != f:
+        if cat.compose[(cat.identities[ft], f)] != f or \
+                cat.compose[(f, cat.identities[fs])] != f:
             out.append(f"identity law fails at '{f}'")
             break
     for h, (hs, ht) in cat.arrows.items():

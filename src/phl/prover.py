@@ -11,7 +11,7 @@ from typing import get_args
 
 from .freemodel import (
     DEFAULT_WORK_BUDGET, ModelPresentation, SaturationStatus, TraceEvent,
-    holds_in_graph, saturate,
+    saturate,
 )
 from .semantics import PartialStructure, enumerate_models, formula_holds_at, \
     interp_formula
@@ -358,8 +358,7 @@ def prove(theory: Theory, seq: Sequent, depth: int = 4, model_size: int = 4,
     g, saturated, exhausted, reached = saturate(theory, seq.context, seq.premise,
                                                 depth, goal=seq.conclusion,
                                                 max_work=max_work)
-    env = {name: g.find(i) for name, i in g.vars.items()}
-    if reached or holds_in_graph(g, seq.conclusion, env):
+    if reached:
         return Proved(tuple(g.trace), SaturationStatus(saturated, depth))
     if saturated:
         p = ModelPresentation(theory, seq.context, seq.premise,

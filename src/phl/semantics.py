@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from .syntax import (
     EQ, REL, App, Context, Eq, FuncDecl, PhlError, Sequent, Signature, Theory,
-    TokenStream, Truth, Var, atoms, defined, flatten,
+    TokenStream, Truth, Var, _parse_sort_name, atoms, defined, flatten,
 )
 
 UNDEF = None
@@ -776,7 +776,7 @@ def parse_model(text: str, sig: Signature) -> tuple[PartialStructure, str]:
     while not ts.at("eof"):
         if ts.at_word("carrier"):
             ts.next()
-            sort = ts.expect("ident").text if not ts.at("star") else ts.next().text
+            sort = _parse_sort_name(ts)
             ts.expect("punct", ":")
             elems = []
             while not ts.at("punct", ";"):
@@ -832,7 +832,7 @@ def parse_hom(text: str, models: dict[str, PartialStructure]) -> Homomorphism:
     maps: dict[str, dict[str, str]] = {}
     while not ts.at("eof"):
         ts.expect_word("map")
-        sort = ts.expect("ident").text if not ts.at("star") else ts.next().text
+        sort = _parse_sort_name(ts)
         ts.expect("punct", ":")
         table = maps.setdefault(sort, {})
         while not ts.at("punct", ";"):

@@ -499,7 +499,7 @@ def print_term(t: Term) -> str:
 
 
 def print_formula(f: Formula, nested: bool = False) -> str:
-    if isinstance(f, Truth):
+    if isinstance(f, Truth) or f == Conj(()):
         return "true"
     if isinstance(f, Eq):
         if f.lhs == f.rhs:

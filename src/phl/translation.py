@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from .birkhoff import FiniteCategory, _category_diagnostics
 from .freemodel import ModelPresentation, representing_model
 from .prover import prove
 from .semantics import (
@@ -13,10 +14,11 @@ from .semantics import (
 )
 from .syntax import (
     App, Conj, Context, Eq, Formula, FuncDecl, NamedAxiom, PhlError, RelApp,
-    Sequent, Signature, Term, Theory, TokenStream, Truth, TRUE, Var,
-    atoms, conj, conjuncts, defined, free_vars, infer_sort, parse_context_tokens,
+    Sequent, Signature, Term, Theory, TokenStream, Truth, TRUE, Var, atoms,
+    conj, conjuncts, defined, free_vars, infer_sort, parse_context_tokens,
     print_context, print_formula, print_term, subst_formula, subst_term,
-    subterms, well_formed, _parse_formula_tokens, _parse_term_tokens,
+    subterms, well_formed, _parse_formula_tokens, _parse_sort_name,
+    _parse_term_tokens,
 )
 
 
@@ -450,50 +452,11 @@ class Sketch:
 
 
 def _sketch_diagnostics(sk: Sketch) -> list[str]:
-    out = []
-    names = set()
-    for a in sk.arrows:
-        if a.name in names:
-            out.append(f"duplicate arrow '{a.name}'")
-        names.add(a.name)
-        if a.src not in sk.objects or a.tgt not in sk.objects:
-            out.append(f"arrow '{a.name}' has unknown endpoints")
-    for obj in sk.objects:
-        if obj not in sk.identities:
-            out.append(f"missing identity for '{obj}'")
-    for obj, ident in sk.identities.items():
-        a = sk.arrow(ident)
-        if a is None or a.src != obj or a.tgt != obj:
-            out.append(f"bad identity for '{obj}'")
-    for (g, f), h in sk.compose.items():
-        ga, fa, ha = sk.arrow(g), sk.arrow(f), sk.arrow(h)
-        if ga is None or fa is None or ha is None:
-            out.append(f"composition entry ({g},{f}) mentions unknown arrows")
-            continue
-        if fa.tgt != ga.src or ha.src != fa.src or ha.tgt != ga.tgt:
-            out.append(f"ill-typed composition ({g},{f})")
-    # totality of composition over composable pairs
-    for g in sk.arrows:
-        for f in sk.arrows:
-            if f.tgt == g.src and (g.name, f.name) not in sk.compose:
-                out.append(f"missing composition ({g.name},{f.name})")
-    # identity laws and associativity
-    for f in sk.arrows:
-        li = sk.identities.get(f.tgt)
-        ri = sk.identities.get(f.src)
-        if li and sk.compose.get((li, f.name)) != f.name:
-            out.append(f"left identity fails at '{f.name}'")
-        if ri and sk.compose.get((f.name, ri)) != f.name:
-            out.append(f"right identity fails at '{f.name}'")
-    for h in sk.arrows:
-        for g in sk.arrows:
-            for f in sk.arrows:
-                if f.tgt == g.src and g.tgt == h.src:
-                    left = sk.compose.get((h.name, sk.compose[(g.name, f.name)]))
-                    right = sk.compose.get((sk.compose[(h.name, g.name)], f.name))
-                    if left != right:
-                        out.append(
-                            f"associativity fails at ({h.name},{g.name},{f.name})")
+    names = [a.name for a in sk.arrows]
+    out = [f"duplicate arrow '{n}'" for i, n in enumerate(names) if n in names[:i]]
+    out += _category_diagnostics(FiniteCategory(
+        sk.objects, {a.name: (a.src, a.tgt) for a in sk.arrows},
+        sk.identities, sk.compose))
     for cone in sk.product_cones:
         if cone.vertex not in sk.objects:
             out.append(f"cone vertex '{cone.vertex}' unknown")
@@ -523,13 +486,12 @@ def make_sketch(name, objects, arrows, compose, identities,
     compose = dict(compose)
     identities = dict(identities)
     # composites with identities are implied
-    by_name = {a.name: a for a in arrows}
+    names = {a.name for a in arrows}
     for a in arrows:
-        li = identities.get(a.tgt)
-        ri = identities.get(a.src)
-        if li and li in by_name:
+        li, ri = identities.get(a.tgt), identities.get(a.src)
+        if li in names:
             compose.setdefault((li, a.name), a.name)
-        if ri and ri in by_name:
+        if ri in names:
             compose.setdefault((a.name, ri), a.name)
     sk = Sketch(name, tuple(objects), arrows, compose, identities,
                 tuple(product_cones), tuple(pullback_cones))
@@ -675,9 +637,9 @@ def parse_morphism(text: str, theories: dict[str, Theory]) -> TheoryMorphism:
     while not ts.at("eof"):
         if ts.at_word("sort"):
             ts.next()
-            a = ts.next().text if ts.at("star") else ts.expect("ident").text
+            a = _parse_sort_name(ts)
             ts.expect("darrow")
-            b = ts.next().text if ts.at("star") else ts.expect("ident").text
+            b = _parse_sort_name(ts)
             ts.expect("punct", ";")
             sort_map[a] = b
         elif ts.at_word("fun"):

@@ -18,8 +18,9 @@ from phl.semantics import (
 from phl.syntax import NamedAxiom, parse_sequent
 from phl.theories import (
     antichain_poset, chain_poset, mon_inv_theory, mon_theory, pos_theory,
-    preorder_theory, zmod_monoid,
+    preorder_theory, set_theory, zmod_monoid,
 )
+from phl.translation import U_rho_hom, make_theory_morphism
 
 
 def two_chain_category():
@@ -324,6 +325,15 @@ class TestClosureOperators:
         u = ModelUniverse(pos, [chain2])
         out, rep = close_R(u, [pt])
         assert any(m.size() == 1 for m in out.models)
+
+    def test_close_R_U_retract(self, mon, z4, z2):
+        # z2 is a retract of z4 as a set but not as a monoid
+        rho = make_theory_morphism("u", set_theory(), mon, {"*": "*"}, {}, {})
+        u = ModelUniverse(mon, [z4])
+        assert close_R(u, [z2])[1].added == ()
+        out, rep = close_R(u, [z2], u_hom=lambda f: U_rho_hom(rho, f))
+        assert rep.added == ("z2",)
+        assert out.contains_iso(z2)
 
     def test_idempotence_within_pool(self, pos):
         pool = list(enumerate_models(preorder_theory(), 2))

@@ -228,6 +228,18 @@ class TestSketch:
         assert out == ""
         assert "missing identity for 'b'" in err
 
+    def test_sketch_missing_a_composite(self, capsys, tmp_path):
+        path = tmp_path / "gap.sk"
+        path.write_text("sketch gap\nobjects: a b c;\n"
+                        "arrow ia : a -> a;\narrow ib : b -> b;\n"
+                        "arrow ic : c -> c;\narrow f : a -> b;\n"
+                        "arrow g : b -> c;\nidentity a = ia;\n"
+                        "identity b = ib;\nidentity c = ic;\n")
+        code, out, err = run(capsys, "sketch2pht", path)
+        assert code == 11
+        assert out == ""
+        assert "bad sketch 'gap': missing composite (g,f)" in err
+
 
 class TestBirkhoff:
     def test_poset_experiment(self, files, capsys, tmp_path):

@@ -541,3 +541,11 @@ class TestDerivationCodec:
         with pytest.raises(PhlError, match="unknown variable"):
             parse_derivation('[x:*] def(x) |- true  [rule IConj'
                              ' {"premise": "def(x)"}]', pos.signature)
+
+    def test_empty_conjunction_premise(self, pos):
+        d = rule_node(IConjRule(Context(()), Conj(())), (), pos.signature)
+        text = format_derivation(d)
+        assert '"premise": "true"' in text
+        parsed = parse_derivation(text, pos.signature)
+        assert check_derivation(pos, parsed).ok
+        assert format_derivation(parsed) == text

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from phl.birkhoff import BirkhoffError, make_finite_category
 from phl.freemodel import representing_model
 from phl.semantics import (
     enumerate_homs, enumerate_models, enumerate_structures, interp_formula,
@@ -530,6 +531,70 @@ class TestSketch:
         with pytest.raises(TranslationError, match="missing identity for 'b'"):
             make_sketch("gap", ("a", "b"), [SketchArrow("ia", "a", "a")],
                         {("ia", "ia"): "ia"}, {"a": "ia"})
+
+
+def category_case(objects, arrows, compose):
+    """Objects with identities `i<obj>` and the unit-law composites, plus the
+    given arrows and compose entries (which may override a unit law)."""
+    identities = {o: f"i{o}" for o in objects}
+    arrows = {**{f"i{o}": (o, o) for o in objects}, **arrows}
+    units = {}
+    for f, (s, t) in arrows.items():
+        units[(identities[t], f)] = units[(f, identities[s])] = f
+    return objects, arrows, identities, {**units, **compose}
+
+
+# (inputs, the problems both constructors must report)
+BAD_CATEGORIES = {
+    "missing composite": (
+        category_case(("a", "b", "c"), {"f": ("a", "b"), "g": ("b", "c")}, {}),
+        "missing composite (g,f)"),
+    "unknown arrow": (
+        category_case(("a", "b"), {"f": ("a", "b")}, {("g", "f"): "f"}),
+        "ill-typed composite (g,f)"),
+    "non-composable pair": (
+        category_case(("a", "b"), {"f": ("a", "b")}, {("f", "f"): "f"}),
+        "ill-typed composite (f,f)"),
+    "identity law": (
+        category_case(("a", "b"), {"f": ("a", "b"), "f2": ("a", "b")},
+                      {("ib", "f"): "f2"}),
+        "identity law fails at 'f'"),
+    # a unital magma on {ia, x, y} with every product of x and y equal to ia
+    "associativity": (
+        category_case(("a",), {"x": ("a", "a"), "y": ("a", "a")},
+                      {(p, q): "ia" for p in "xy" for q in "xy"}),
+        "associativity fails"),
+}
+
+
+class TestOneCategoryValidator:
+    """Finite categories and the categories underlying sketches are checked
+    by the same code, so both constructors reject the same inputs with the
+    same problems, and never with a bare KeyError."""
+
+    @pytest.mark.parametrize("case", BAD_CATEGORIES)
+    def test_both_constructors_reject(self, case):
+        (objects, arrows, identities, compose), problems = BAD_CATEGORIES[case]
+        with pytest.raises(BirkhoffError) as cat_err:
+            make_finite_category(objects, arrows, identities, compose)
+        assert str(cat_err.value) == "bad category: " + problems
+        with pytest.raises(TranslationError) as sk_err:
+            make_sketch("bad", objects,
+                        [SketchArrow(n, s, t) for n, (s, t) in arrows.items()],
+                        compose, identities)
+        assert str(sk_err.value) == "bad sketch 'bad': " + problems
+
+    def test_identity_for_an_unknown_object(self):
+        objects, arrows, identities, compose = category_case(
+            ("a", "b"), {"f": ("a", "b")}, {})
+        make_finite_category(objects, arrows, identities, compose)
+        identities["z"] = "ia"
+        with pytest.raises(BirkhoffError, match="unknown object 'z'"):
+            make_finite_category(objects, arrows, identities, compose)
+        with pytest.raises(TranslationError, match="unknown object 'z'"):
+            make_sketch("bad", objects,
+                        [SketchArrow(n, s, t) for n, (s, t) in arrows.items()],
+                        compose, identities)
 
 
 class TestMorphismFormat:
