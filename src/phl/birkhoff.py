@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .freemodel import representing_model, repn_morphism
-from .morphology import closed_submodel_generated, is_retraction, orthogonal
+from .morphology import closed_submodels, is_retraction, orthogonal
 from .semantics import (
     Homomorphism, PartialStructure, SemanticsError, check_hom, exists_hom,
     holds, is_model, iter_homs, partial_hom_ok, product,
@@ -214,25 +214,14 @@ SUBMODEL_ENUM_CAP = 14
 
 def _closed_submodels(models):
     """("member|size", closed submodel) for each distinct closed submodel of
-    each member, generated from every subset; (member, None) for a member
-    too large for subset enumeration."""
+    each member, in the order of `morphology.closed_submodels`; (member,
+    None) for a member too large to enumerate its subsets."""
     for b in models:
         if b.size() > SUBMODEL_ENUM_CAP:
             yield b.name, None
             continue
-        sorts = b.signature.sorts
-        per_sort = [list(b.carrier(s)) for s in sorts]
-        spaces = [list(itertools.product([False, True], repeat=len(e)))
-                  for e in per_sort]
-        seen = set()
-        for mask in itertools.product(*spaces):
-            subset = {s: {a for a, keep in zip(per_sort[i], mask[i]) if keep}
-                      for i, s in enumerate(sorts)}
-            sub, _ = closed_submodel_generated(b, subset)
-            key = tuple(tuple(sub.carrier(s)) for s in sorts)
-            if key not in seen:
-                seen.add(key)
-                yield f"{b.name}|{sub.size()}", sub
+        for sub in closed_submodels(b):
+            yield f"{b.name}|{sub.size()}", sub
 
 
 def close_P(universe: ModelUniverse, arity_cap: int = 2) -> tuple[ModelUniverse, ClosureReport]:
@@ -436,7 +425,8 @@ def make_finite_category(objects, arrows, identities, compose) -> FiniteCategory
 def _category_diagnostics(cat: FiniteCategory) -> list[str]:
     """Problems with `cat` as a category; the structural checks come first
     so the law checks below only index composites that exist."""
-    out = []
+    out = [f"duplicate object '{o}'" for i, o in enumerate(cat.objects)
+           if o in cat.objects[:i]]
     for name, (s, t) in cat.arrows.items():
         if s not in cat.objects or t not in cat.objects:
             out.append(f"arrow '{name}' has unknown endpoints")

@@ -41,41 +41,96 @@ def is_closed_mono(h: Homomorphism) -> bool:
     return partial_hom_ok(h.target, h.source, inverse)
 
 
+class _ClosureIndex:
+    """The subsets of b as ints, closed under its function tables.
+
+    Element i of b, counted over the sorts in signature order and each
+    carrier in order, is bit n-1-i, so the first element is the most
+    significant bit and counting 0 .. 2^n - 1 visits the subsets in the
+    order of `itertools.product([False, True], repeat=n)`.  Each function
+    entry is kept with the mask of its arguments and the bit of its value,
+    each relation entry with the mask of its arguments."""
+
+    def __init__(self, b: PartialStructure):
+        sig = b.signature
+        self.b = b
+        elems = [(s, a) for s in sig.sorts for a in b.carrier(s)]
+        self.bit = {e: 1 << (len(elems) - 1 - i) for i, e in enumerate(elems)}
+
+        def args_mask(args, sorts):
+            mask = 0
+            for a, s in zip(args, sorts):
+                mask |= self.bit[(s, a)]
+            return mask
+
+        self.funcs = {f.name: [(args_mask(args, f.arg_sorts),
+                                self.bit[(f.result, val)], args, val)
+                               for args, val in b.func_table(f.name).items()]
+                      for f in sig.functions}
+        self.rels = {r.name: [(args_mask(args, r.arg_sorts), args)
+                              for args in b.rel_table(r.name)]
+                     for r in sig.relations}
+        self.steps = [(m, v) for entries in self.funcs.values()
+                      for m, v, _, _ in entries]
+
+    def close(self, mask: int) -> int:
+        """Least superset of mask holding the value of every function entry
+        whose arguments it holds; constants have no arguments, so even the
+        closure of 0 holds them."""
+        changed = bool(self.steps)
+        while changed:
+            changed = False
+            for args, value in self.steps:
+                if not args & ~mask and not value & mask:
+                    mask |= value
+                    changed = True
+        return mask
+
+    def induced(self, mask: int) -> PartialStructure:
+        """The substructure on the elements in mask, with induced tables."""
+        b = self.b
+        outside = ~mask
+        carriers = {s: tuple(a for a in b.carrier(s) if self.bit[(s, a)] & mask)
+                    for s in b.signature.sorts}
+        funcs = {f: {args: val for m, _, args, val in entries if not m & outside}
+                 for f, entries in self.funcs.items()}
+        rels = {r: frozenset(args for m, args in entries if not m & outside)
+                for r, entries in self.rels.items()}
+        return PartialStructure(f"{b.name}_sub", b.signature, carriers, funcs, rels)
+
+
 def closed_submodel_generated(b: PartialStructure,
                               subset: dict[str, set[str]]) -> tuple[PartialStructure, Homomorphism]:
     """Smallest closed submodel of b containing the subset: the least fixed
     point adding values of function applications at tuples already inside,
     with induced tables."""
     sig = b.signature
-    current = {s: set(subset.get(s, set())) for s in sig.sorts}
-    for s, elems in current.items():
-        bad = elems - set(b.carrier(s))
+    index = _ClosureIndex(b)
+    mask = 0
+    for s in sig.sorts:
+        elems = subset.get(s, set())
+        bad = {a for a in elems if (s, a) not in index.bit}
         if bad:
             raise MorphologyError(f"subset contains foreign elements {sorted(bad)}")
-    changed = True
-    while changed:
-        changed = False
-        for f in sig.functions:
-            for args, val in b.func_table(f.name).items():
-                if all(a in current[s] for a, s in zip(args, f.arg_sorts)):
-                    if val not in current[f.result]:
-                        current[f.result].add(val)
-                        changed = True
-    carriers = {s: tuple(a for a in b.carrier(s) if a in current[s])
-                for s in sig.sorts}
-    funcs = {}
-    for f in sig.functions:
-        funcs[f.name] = {args: val for args, val in b.func_table(f.name).items()
-                         if all(a in current[s] for a, s in zip(args, f.arg_sorts))}
-    rels = {}
-    for r in sig.relations:
-        rels[r.name] = frozenset(
-            args for args in b.rel_table(r.name)
-            if all(a in current[s] for a, s in zip(args, r.arg_sorts)))
-    sub = PartialStructure(f"{b.name}_sub", sig, carriers, funcs, rels)
+        for a in elems:
+            mask |= index.bit[(s, a)]
+    sub = index.induced(index.close(mask))
     incl = Homomorphism("incl", sub, b,
-                        {s: {a: a for a in carriers[s]} for s in sig.sorts})
+                        {s: {a: a for a in sub.carrier(s)} for s in sig.sorts})
     return sub, incl
+
+
+def closed_submodels(b: PartialStructure):
+    """Each distinct closed submodel of b, at its first occurrence when the
+    subsets of b are visited as the numbers 0 .. 2^n - 1, the first element
+    of the first sort being the most significant bit."""
+    index = _ClosureIndex(b)
+    seen = set()
+    for mask in range(1 << len(index.bit)):
+        closed = index.close(mask)
+        if closed not in seen:
+            seen.add(closed)
+            yield index.induced(closed)
 
 
 def is_dense(h: Homomorphism) -> bool:

@@ -469,6 +469,11 @@ class TestPosetification:
             make_finite_category(("A",), {"iA": ("A", "A")}, {},
                                  {("iA", "iA"): "iA"})
 
+    def test_repeated_object_rejected(self):
+        with pytest.raises(BirkhoffError, match="duplicate object 'A'"):
+            make_finite_category(("A", "A"), {"iA": ("A", "A")}, {"A": "iA"},
+                                 {("iA", "iA"): "iA"})
+
 
 class TestComponentDiagram:
     def test_nonempty_posets_strongly_connected(self, pos):

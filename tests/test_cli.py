@@ -240,6 +240,15 @@ class TestSketch:
         assert out == ""
         assert "bad sketch 'gap': missing composite (g,f)" in err
 
+    def test_sketch_repeated_object(self, capsys, tmp_path):
+        path = tmp_path / "dup.sk"
+        path.write_text("sketch dup\nobjects: a a;\narrow ia : a -> a;\n"
+                        "identity a = ia;\ncompose ia ia = ia;\n")
+        code, out, err = run(capsys, "sketch2pht", path)
+        assert code == 11
+        assert out == ""
+        assert "bad sketch 'dup': duplicate object 'a'" in err
+
 
 class TestBirkhoff:
     def test_poset_experiment(self, files, capsys, tmp_path):

@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from phl.birkhoff import SUBMODEL_ENUM_CAP, _closed_submodels
 from phl.freemodel import representing_model, repn_morphism
 from phl.morphology import (
     MorphologyError, closed_submodel_generated, diagonal_fillers, factorize,
@@ -9,13 +11,13 @@ from phl.morphology import (
     is_U_retraction, orthogonal,
 )
 from phl.semantics import (
-    Homomorphism, check_hom, compose_homs, enumerate_homs, enumerate_models,
-    holds, identity_hom, is_model, make_structure,
+    Homomorphism, PartialStructure, check_hom, compose_homs, enumerate_homs,
+    enumerate_models, holds, identity_hom, is_model, make_structure, product,
 )
 from phl.syntax import parse_formula_in_context, parse_sequent
 from phl.theories import (
     antichain_poset, cat_theory, chain_poset, cycle_preorder, mon_inv_theory,
-    mon_theory, pos_theory, set_theory, zmod_monoid,
+    mon_theory, pos_theory, preorder_theory, set_theory, zmod_monoid,
 )
 from phl.translation import identity_morphism, make_theory_morphism, U_rho_hom
 
@@ -194,6 +196,125 @@ class TestGeneratedSubmodel:
             cand, j = closed_submodel_generated(z4, {"*": subset})
             if set(cand.carrier("*")) == subset:  # subset already closed
                 assert subset >= set(sub.carrier("*"))
+
+
+def oracle_closed_submodel_generated(b, subset):
+    """The name-based fixpoint that the bitmask closure replaced: rescan
+    every function table until no value is added."""
+    sig = b.signature
+    current = {s: set(subset.get(s, set())) for s in sig.sorts}
+    for s, elems in current.items():
+        bad = elems - set(b.carrier(s))
+        if bad:
+            raise MorphologyError(f"subset contains foreign elements {sorted(bad)}")
+    changed = True
+    while changed:
+        changed = False
+        for f in sig.functions:
+            for args, val in b.func_table(f.name).items():
+                if all(a in current[s] for a, s in zip(args, f.arg_sorts)):
+                    if val not in current[f.result]:
+                        current[f.result].add(val)
+                        changed = True
+    carriers = {s: tuple(a for a in b.carrier(s) if a in current[s])
+                for s in sig.sorts}
+    funcs = {}
+    for f in sig.functions:
+        funcs[f.name] = {args: val for args, val in b.func_table(f.name).items()
+                         if all(a in current[s] for a, s in zip(args, f.arg_sorts))}
+    rels = {}
+    for r in sig.relations:
+        rels[r.name] = frozenset(
+            args for args in b.rel_table(r.name)
+            if all(a in current[s] for a, s in zip(args, r.arg_sorts)))
+    return PartialStructure(f"{b.name}_sub", sig, carriers, funcs, rels)
+
+
+def oracle_closed_submodels(models):
+    """The subset scan that `closed_submodels` replaced: close every subset
+    of every member by name and keep the first copy of each carrier."""
+    for b in models:
+        if b.size() > SUBMODEL_ENUM_CAP:
+            yield b.name, None
+            continue
+        sorts = b.signature.sorts
+        per_sort = [list(b.carrier(s)) for s in sorts]
+        spaces = [list(itertools.product([False, True], repeat=len(e)))
+                  for e in per_sort]
+        seen = set()
+        for mask in itertools.product(*spaces):
+            subset = {s: {a for a, keep in zip(per_sort[i], mask[i]) if keep}
+                      for i, s in enumerate(sorts)}
+            sub = oracle_closed_submodel_generated(b, subset)
+            key = tuple(tuple(sub.carrier(s)) for s in sorts)
+            if key not in seen:
+                seen.add(key)
+                yield f"{b.name}|{sub.size()}", sub
+
+
+def structure_layout(m):
+    """Everything of m that printing or hashing it can see, tables in order."""
+    if m is None:
+        return None
+    return (m.name, m.carriers,
+            [(f, list(t.items())) for f, t in m.funcs.items()],
+            [(r, sorted(t)) for r, t in m.rels.items()])
+
+
+def seeded_members():
+    """Seeded samples of the models of pos, preord, mon, mon_inv (a
+    constant, so the closure of nothing is not empty) and cat (two sorts),
+    partial copies of the small ones, a few products, an oversized member
+    and the empty structure of each signature."""
+    rng = random.Random(2024)
+    for theory, size in ((pos_theory(), 3), (preorder_theory(), 3),
+                         (mon_theory(), 3), (mon_inv_theory(), 3),
+                         (cat_theory(), 3)):
+        models = list(enumerate_models(theory, size))
+        picked = rng.sample(models, 6)
+        yield theory.name, [make_structure("empty", theory.signature, {})] + \
+            list(with_partial_tables(picked)) + \
+            [product(theory.signature, rng.sample(models, 2), name="prod")]
+    yield "big", [zmod_monoid(4), product(mon_theory().signature,
+                                          [zmod_monoid(2), zmod_monoid(4)]),
+                  product(pos_theory().signature, [chain_poset(4)] * 2)]
+
+
+class TestClosedSubmodelsAgainstSubsetScan:
+    """The bitmask closure must give what the per-subset name-based scan
+    gave: the same closed submodels, in the same order, with the same
+    tables in the same order."""
+
+    @pytest.mark.parametrize("family", list(seeded_members()),
+                             ids=lambda f: f[0])
+    def test_same_sequence(self, family):
+        _, members = family
+        want = [(label, structure_layout(sub))
+                for label, sub in oracle_closed_submodels(members)]
+        got = [(label, structure_layout(sub))
+               for label, sub in _closed_submodels(members)]
+        assert got == want
+        assert any(sub is not None for _, sub in got)
+
+    def test_generated_matches_oracle_on_random_subsets(self):
+        rng = random.Random(7)
+        for _, members in seeded_members():
+            for b in members:
+                elems = [(s, a) for s in b.signature.sorts for a in b.carrier(s)]
+                for _ in range(8):
+                    subset = {s: set() for s in b.signature.sorts}
+                    for s, a in elems:
+                        if rng.random() < 0.4:
+                            subset[s].add(a)
+                    sub, i = closed_submodel_generated(b, subset)
+                    assert structure_layout(sub) == structure_layout(
+                        oracle_closed_submodel_generated(b, subset))
+                    assert i.maps == {s: {a: a for a in sub.carrier(s)}
+                                      for s in b.signature.sorts}
+
+    def test_foreign_element_raises(self, z4):
+        with pytest.raises(MorphologyError, match=r"foreign elements \['9'\]"):
+            closed_submodel_generated(z4, {"*": {"1", "9"}})
 
 
 class TestDense:
