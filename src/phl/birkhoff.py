@@ -11,7 +11,7 @@ from .freemodel import representing_model, repn_morphism
 from .morphology import closed_submodels, is_retraction, orthogonal
 from .semantics import (
     Homomorphism, PartialStructure, SemanticsError, check_hom, exists_hom,
-    holds, is_model, iter_homs, partial_hom_ok, product,
+    holds, is_model, iter_homs, product,
 )
 from .syntax import PhlError, Theory, Var, conj, conjuncts
 
@@ -79,8 +79,9 @@ def iso_key(m: PartialStructure) -> tuple:
 
 
 def find_iso(m: PartialStructure, n: PartialStructure):
-    """A pair of mutually inverse homomorphisms, by invariant-pruned
-    backtracking; None when the structures are not isomorphic.
+    """A pair of mutually inverse homomorphisms, found as an injective hom
+    m -> n sending each element to one of the same invariant colour; None
+    when the structures are not isomorphic.
 
     Only the forward map is checked as it grows.  Equal iso keys mean equal
     carrier and table sizes, so an injective hom m -> n is onto every carrier
@@ -90,32 +91,20 @@ def find_iso(m: PartialStructure, n: PartialStructure):
         return None
     inv_m = _element_invariants(m)
     inv_n = _element_invariants(n)
-    todo = [(s, a) for s in m.signature.sorts for a in m.carrier(s)]
-    assigned: dict[str, dict[str, str]] = {s: {} for s in m.signature.sorts}
-    inverse: dict[str, dict[str, str]] = {s: {} for s in m.signature.sorts}
-
-    def rec(i: int):
-        if i == len(todo):
-            return True
-        s, a = todo[i]
+    restrict = {}
+    for s in m.signature.sorts:
+        same_colour: dict[tuple, set[str]] = {}
         for b in n.carrier(s):
-            if b in inverse[s] or inv_n[s][b] != inv_m[s][a]:
-                continue
-            assigned[s][a] = b
-            inverse[s][b] = a
-            if partial_hom_ok(m, n, assigned) and rec(i + 1):
-                return True
-            del assigned[s][a]
-            del inverse[s][b]
-        return False
-
-    if not rec(0):
+            same_colour.setdefault(inv_n[s][b], set()).add(b)
+        restrict[s] = {a: same_colour[inv_m[s][a]] for a in m.carrier(s)}
+    h = exists_hom(m, n, restrict=restrict, injective=True)
+    if h is None:
         return None
-    h = Homomorphism("iso", m, n, {s: dict(t) for s, t in assigned.items()})
-    hinv = Homomorphism("iso_inv", n, m, {s: dict(t) for s, t in inverse.items()})
+    hinv = Homomorphism("iso_inv", n, m, {s: {b: a for a, b in t.items()}
+                                          for s, t in h.maps.items()})
     if not check_hom(hinv):
         return None
-    return h, hinv
+    return Homomorphism("iso", m, n, h.maps), hinv
 
 
 def fingerprint(m: PartialStructure) -> tuple:
@@ -244,10 +233,7 @@ def _retract_exists(m: PartialStructure, n: PartialStructure,
         return False
     if u_hom is None:
         # candidate sections are few; extend each to a retraction if possible
-        for s in iter_homs(n, m):
-            if any(len(set(s.maps[x].values())) != len(n.carrier(x))
-                   for x in n.signature.sorts):
-                continue
+        for s in iter_homs(n, m, injective=True):
             forced = {x: {s.maps[x][b]: {b} for b in n.carrier(x)}
                       for x in n.signature.sorts}
             if exists_hom(m, n, restrict=forced) is not None:

@@ -22,8 +22,8 @@ from . import semantics as sm
 from . import translation as tr
 from .syntax import (
     ParseError, PhlError, Theory, TokenStream, WellFormedError,
-    parse_formula_in_context, parse_sequent, parse_theory, print_formula,
-    print_sequent, print_theory,
+    parse_arrow_header, parse_formula_in_context, parse_sequent, parse_theory,
+    print_formula, print_sequent, print_theory,
 )
 
 EXIT_OK = 0
@@ -189,24 +189,13 @@ def cmd_factor(args) -> int:
     return EXIT_OK
 
 
-def _header_ends(text: str, keyword: str) -> tuple[str, str]:
-    """SRC and TGT from a `KEYWORD NAME : SRC -> TGT` header, read the way
-    the hom and morphism parsers read it."""
-    ts = TokenStream(text)
-    ts.expect_word(keyword)
-    ts.expect("ident")
-    ts.expect("punct", ":")
-    src = ts.expect("ident").text
-    ts.expect("arrow")
-    return src, ts.expect("ident").text
-
-
 def _models_for_hom(ws: Workspace, hom_text: str, args,
                     theory: Theory) -> dict[str, sm.PartialStructure]:
     """Resolve the models a hom file mentions: from --model flags first, then
     sibling NAME.model files."""
     out = dict(ws.models)
-    for name in _header_ends(hom_text, "hom"):
+    _, src, tgt = parse_arrow_header(TokenStream(hom_text), "hom")
+    for name in (src, tgt):
         if name in out:
             continue
         sibling = Path(args.hom).parent / f"{name}.model"
@@ -253,7 +242,8 @@ def cmd_translate(args) -> int:
 
 
 def _autoload_theories(ws: Workspace, morph_text: str, base: Path):
-    for name in _header_ends(morph_text, "morphism"):
+    _, src, tgt = parse_arrow_header(TokenStream(morph_text), "morphism")
+    for name in (src, tgt):
         if name in ws.theories:
             continue
         sibling = base / f"{name}.phl"

@@ -105,6 +105,9 @@ def closed_submodel_generated(b: PartialStructure,
     point adding values of function applications at tuples already inside,
     with induced tables."""
     sig = b.signature
+    unknown = set(subset) - set(sig.sorts)
+    if unknown:
+        raise MorphologyError(f"subset for unknown sorts {sorted(unknown)}")
     index = _ClosureIndex(b)
     mask = 0
     for s in sig.sorts:

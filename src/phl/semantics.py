@@ -13,6 +13,7 @@ from functools import lru_cache
 from .syntax import (
     EQ, REL, App, Context, Eq, FuncDecl, PhlError, Sequent, Signature, Theory,
     TokenStream, Truth, Var, _parse_sort_name, atoms, defined, flatten,
+    parse_arrow_header,
 )
 
 UNDEF = None
@@ -298,10 +299,13 @@ def partial_hom_ok(m: PartialStructure, n: PartialStructure,
 
 
 def iter_homs(m: PartialStructure, n: PartialStructure,
-              restrict: dict[str, dict[str, set[str]]] | None = None):
+              restrict: dict[str, dict[str, set[str]]] | None = None,
+              injective: bool = False):
     """Homomorphisms m -> n by backtracking over element assignments with
     incremental preservation checks.  `restrict` optionally limits the
-    permitted values of individual elements."""
+    permitted values of individual elements; `injective` skips a value
+    already used in the same sort, so only injective homs are built, in the
+    order the search without it yields them."""
     if m.signature != n.signature:
         return
     todo = [(s, a) for s in m.signature.sorts for a in m.carrier(s)]
@@ -326,6 +330,8 @@ def iter_homs(m: PartialStructure, n: PartialStructure,
             if r is not None:
                 allowed = [b for b in allowed if b in r]
         for b in allowed:
+            if injective and b in maps[s].values():
+                continue
             maps[s][a] = b
             if partial_hom_ok(m, n, maps):
                 yield from rec(i + 1)
@@ -340,8 +346,8 @@ def enumerate_homs(m: PartialStructure, n: PartialStructure) -> list[Homomorphis
 
 
 def exists_hom(m: PartialStructure, n: PartialStructure,
-               restrict=None) -> Homomorphism | None:
-    return next(iter_homs(m, n, restrict), None)
+               restrict=None, injective: bool = False) -> Homomorphism | None:
+    return next(iter_homs(m, n, restrict, injective), None)
 
 
 def hom_image(h: Homomorphism) -> dict[str, set[str]]:
@@ -819,12 +825,7 @@ def print_hom(h: Homomorphism) -> str:
 
 def parse_hom(text: str, models: dict[str, PartialStructure]) -> Homomorphism:
     ts = TokenStream(text)
-    ts.expect_word("hom")
-    name = ts.expect("ident").text
-    ts.expect("punct", ":")
-    src_name = ts.expect("ident").text
-    ts.expect("arrow")
-    tgt_name = ts.expect("ident").text
+    name, src_name, tgt_name = parse_arrow_header(ts, "hom")
     for n in (src_name, tgt_name):
         if n not in models:
             ts.error(f"unknown model '{n}'")
@@ -833,6 +834,8 @@ def parse_hom(text: str, models: dict[str, PartialStructure]) -> Homomorphism:
     while not ts.at("eof"):
         ts.expect_word("map")
         sort = _parse_sort_name(ts)
+        if sort not in src.signature.sorts:
+            ts.error(f"map for unknown sort '{sort}'")
         ts.expect("punct", ":")
         table = maps.setdefault(sort, {})
         while not ts.at("punct", ";"):

@@ -626,6 +626,16 @@ def _parse_sort_name(ts: TokenStream) -> str:
     return ts.expect("ident").text
 
 
+def parse_arrow_header(ts: TokenStream, keyword: str) -> tuple[str, str, str]:
+    """NAME, SRC and TGT from a `KEYWORD NAME : SRC -> TGT` header."""
+    ts.expect_word(keyword)
+    name = ts.expect("ident").text
+    ts.expect("punct", ":")
+    src = ts.expect("ident").text
+    ts.expect("arrow")
+    return name, src, ts.expect("ident").text
+
+
 def parse_context_tokens(ts: TokenStream, sig: Signature) -> Context:
     """Parse `[x:s, y:s]`; sorts may be omitted when the signature is single-sorted."""
     ts.expect("punct", "[")

@@ -15,10 +15,10 @@ from .semantics import (
 from .syntax import (
     App, Conj, Context, Eq, Formula, FuncDecl, NamedAxiom, PhlError, RelApp,
     Sequent, Signature, Term, Theory, TokenStream, Truth, TRUE, Var, atoms,
-    conj, conjuncts, defined, free_vars, infer_sort, parse_context_tokens,
-    print_context, print_formula, print_term, subst_formula, subst_term,
-    subterms, well_formed, _parse_formula_tokens, _parse_sort_name,
-    _parse_term_tokens,
+    conj, conjuncts, defined, free_vars, infer_sort, parse_arrow_header,
+    parse_context_tokens, print_context, print_formula, print_term,
+    subst_formula, subst_term, subterms, well_formed, _parse_formula_tokens,
+    _parse_sort_name, _parse_term_tokens,
 )
 
 
@@ -621,12 +621,7 @@ def _cones_are_limits(sk: Sketch, m: PartialStructure) -> bool:
 def parse_morphism(text: str, theories: dict[str, Theory]) -> TheoryMorphism:
     """Parse `morphism NAME : SRC -> TGT` with sort/fun/rel assignment lines."""
     ts = TokenStream(text)
-    ts.expect_word("morphism")
-    name = ts.expect("ident").text
-    ts.expect("punct", ":")
-    src_name = ts.expect("ident").text
-    ts.expect("arrow")
-    tgt_name = ts.expect("ident").text
+    name, src_name, tgt_name = parse_arrow_header(ts, "morphism")
     for n in (src_name, tgt_name):
         if n not in theories:
             ts.error(f"unknown theory '{n}'")

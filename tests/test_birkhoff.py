@@ -12,8 +12,9 @@ from phl.birkhoff import (
 )
 from phl.morphology import closed_submodel_generated
 from phl.semantics import (
-    Homomorphism, SemanticsError, check_hom, enumerate_models, holds,
-    make_structure, partial_hom_ok, product,
+    Homomorphism, SemanticsError, check_hom, compose_homs, enumerate_homs,
+    enumerate_models, holds, identity_hom, make_structure, partial_hom_ok,
+    product,
 )
 from phl.syntax import NamedAxiom, parse_sequent
 from phl.theories import (
@@ -175,6 +176,27 @@ class TestOneSidedIsoSearch:
                     hits += 1
                     assert [h.maps for h in got] == [h.maps for h in want]
         assert hits > len(mixed)   # some pairs are distinct isomorphic models
+
+
+def reference_retract_exists(m, n):
+    """Some r: m -> n and s: n -> m with r . s = id_n, by trying every pair."""
+    ident = identity_hom(n).maps
+    sections = enumerate_homs(n, m)
+    return any(compose_homs(r, s).maps == ident
+               for r in enumerate_homs(m, n) for s in sections)
+
+
+class TestRetractSearch:
+    @pytest.mark.parametrize("theory, size", [(pos_theory(), 3),
+                                              (mon_inv_theory(), 2)],
+                             ids=["pos", "mon_inv"])
+    def test_agrees_with_all_pairs_of_homs(self, theory, size):
+        models = list(enumerate_models(theory, size))
+        verdicts = {(m.name, n.name): (birkhoff._retract_exists(m, n),
+                                       reference_retract_exists(m, n))
+                    for m in models for n in models}
+        assert [pair for pair, (got, want) in verdicts.items() if got != want] == []
+        assert {want for _, want in verdicts.values()} == {False, True}
 
 
 def reference_witnesses(closure, pool, arity_cap, u_hom=None):

@@ -151,6 +151,14 @@ class TestFactor:
         assert code == 0
         assert "dense part" in out and "closed mono part" in out
 
+    def test_map_for_unknown_sort_exit_11(self, files, capsys):
+        (files / "extra.hom").write_text(COLLAPSE_HOM + "map bogus: a->zz;\n")
+        code, out, err = run(capsys, "factor", files / "pos.phl",
+                             files / "extra.hom")
+        assert code == 11
+        assert out == ""
+        assert "map for unknown sort 'bogus'" in err
+
     def test_sibling_models_from_commented_compact_header(self, files, capsys):
         (files / "compact.hom").write_text(
             "# the collapse, header written without spaces\n"

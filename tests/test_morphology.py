@@ -316,6 +316,10 @@ class TestClosedSubmodelsAgainstSubsetScan:
         with pytest.raises(MorphologyError, match=r"foreign elements \['9'\]"):
             closed_submodel_generated(z4, {"*": {"1", "9"}})
 
+    def test_unknown_sort_raises(self, z4):
+        with pytest.raises(MorphologyError, match=r"unknown sorts \['nosort'\]"):
+            closed_submodel_generated(z4, {"nosort": {"a"}})
+
 
 class TestDense:
     def test_generating_inclusion_dense(self, mon, z2):

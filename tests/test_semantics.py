@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phl import semantics
+from phl.morphology import is_injective
 from phl.semantics import (
     ChainDiagram, Homomorphism, HoldsResult, PartialStructure, SemanticsError,
     chain_colimit, check_hom, compose_homs, context_tuples, enumerate_homs,
@@ -119,6 +120,48 @@ class TestHoms:
         homs = enumerate_homs(z4, z2)
         assert all(h.maps["*"]["0"] == "0" for h in homs)
         assert {h.maps["*"]["1"] for h in homs} == {"0", "1"}
+
+
+def random_restrict(rng, m, n):
+    """About half the elements of m limited to a random subset of their
+    sort's carrier in n, empty subsets included."""
+    return {s: {a: set(rng.sample(n.carrier(s), rng.randint(0, len(n.carrier(s)))))
+                for a in m.carrier(s) if rng.random() < 0.5}
+            for s in m.signature.sorts}
+
+
+def hom_corpus(name):
+    if name == "mon":
+        # no monoid has an empty carrier, so the empty structure stands in
+        empty = make_structure("empty", mon_theory().signature, {"*": ()})
+        return list(enumerate_models(mon_theory(), 2)) + [
+            zmod_monoid(2), zmod_monoid(4), empty]
+    theory, size = {"pos": (pos_theory(), 3), "preord": (preorder_theory(), 3),
+                    "cat": (cat_theory(), 1)}[name]
+    return list(enumerate_models(theory, size))
+
+
+class TestInjectiveHomSearch:
+    """The injective search prunes a partial map once it repeats a value;
+    filtering the full search is the oracle."""
+
+    @pytest.mark.parametrize("name", ["pos", "preord", "mon", "cat"])
+    @pytest.mark.parametrize("restricted", [False, True],
+                             ids=["free", "restricted"])
+    def test_same_maps_as_filtered_search(self, name, restricted):
+        rng = random.Random(f"{name}-{restricted}")
+        models = hom_corpus(name)
+        assert any(not m.carrier(s) for m in models for s in m.signature.sorts)
+        found = 0
+        for m in models:
+            for n in models:
+                r = random_restrict(rng, m, n) if restricted else None
+                got = [h.maps for h in semantics.iter_homs(m, n, r, injective=True)]
+                want = [h.maps for h in semantics.iter_homs(m, n, r)
+                        if is_injective(h)]
+                assert got == want, (m.name, n.name, r)
+                found += len(got)
+        assert found
 
 
 class TestProduct:
