@@ -4,6 +4,9 @@ birkhoff, fmt.
 Exit codes: 0 success / Proved / true; 1 Refuted / false (witness printed);
 2 Unknown (budget); 10 usage errors; 11 parse or well-formedness errors;
 12 missing files.  `--json` emits a stable machine-readable report.
+
+Each subcommand imports the engine modules it runs when it is called, so a
+fresh process loads only those.
 """
 from __future__ import annotations
 
@@ -13,18 +16,16 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import birkhoff as bk
-from . import freemodel as fm
-from . import morphology as mo
-from . import prover as pv
-from . import semantics as sm
-from . import translation as tr
 from .syntax import (
     ParseError, PhlError, Theory, TokenStream, WellFormedError,
     parse_arrow_header, parse_formula_in_context, parse_sequent, parse_theory,
     print_formula, print_sequent, print_theory,
 )
+
+if TYPE_CHECKING:
+    from .semantics import PartialStructure
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -51,14 +52,14 @@ class _UsageError(Exception):
 class Workspace:
     """Artifacts loaded for one command, keyed by name per kind."""
     theories: dict[str, Theory] = field(default_factory=dict)
-    models: dict[str, sm.PartialStructure] = field(default_factory=dict)
+    models: dict[str, PartialStructure] = field(default_factory=dict)
 
     def add_theory(self, t: Theory):
         if t.name in self.theories:
             raise PhlError(f"duplicate theory name '{t.name}'")
         self.theories[t.name] = t
 
-    def add_model(self, m: sm.PartialStructure):
+    def add_model(self, m: PartialStructure):
         if m.name in self.models:
             raise PhlError(f"duplicate model name '{m.name}'")
         self.models[m.name] = m
@@ -77,7 +78,8 @@ def _load_theory(ws: Workspace, path: str) -> Theory:
     return t
 
 
-def _load_model(ws: Workspace, path: str, theory: Theory) -> sm.PartialStructure:
+def _load_model(ws: Workspace, path: str, theory: Theory) -> PartialStructure:
+    from . import semantics as sm
     m, _ = sm.parse_model(_read(path), theory.signature)
     ws.add_model(m)
     return m
@@ -105,6 +107,7 @@ def _emit(args, report: dict, text_lines: list[str]) -> None:
 # subcommands
 
 def cmd_check(args) -> int:
+    from . import semantics as sm
     ws = Workspace()
     theory = _load_theory(ws, args.theory)
     model = _load_model(ws, args.model, theory)
@@ -124,6 +127,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_prove(args) -> int:
+    from . import prover as pv
+    from . import semantics as sm
     ws = Workspace()
     theory = _load_theory(ws, args.theory)
     seq = parse_sequent(args.sequent, theory.signature)
@@ -157,6 +162,8 @@ def cmd_prove(args) -> int:
 
 
 def cmd_free(args) -> int:
+    from . import freemodel as fm
+    from . import semantics as sm
     ws = Workspace()
     theory = _load_theory(ws, args.theory)
     ctx, formula = parse_formula_in_context(args.formula, theory.signature)
@@ -171,6 +178,8 @@ def cmd_free(args) -> int:
 
 
 def cmd_factor(args) -> int:
+    from . import morphology as mo
+    from . import semantics as sm
     ws = Workspace()
     theory = _load_theory(ws, args.theory)
     for path in args.model or []:
@@ -190,9 +199,10 @@ def cmd_factor(args) -> int:
 
 
 def _models_for_hom(ws: Workspace, hom_text: str, args,
-                    theory: Theory) -> dict[str, sm.PartialStructure]:
+                    theory: Theory) -> dict[str, PartialStructure]:
     """Resolve the models a hom file mentions: from --model flags first, then
     sibling NAME.model files."""
+    from . import semantics as sm
     out = dict(ws.models)
     _, src, tgt = parse_arrow_header(TokenStream(hom_text), "hom")
     for name in (src, tgt):
@@ -206,6 +216,8 @@ def _models_for_hom(ws: Workspace, hom_text: str, args,
 
 
 def cmd_translate(args) -> int:
+    from . import semantics as sm
+    from . import translation as tr
     ws = Workspace()
     for path in args.theory or []:
         _load_theory(ws, path)
@@ -252,6 +264,7 @@ def _autoload_theories(ws: Workspace, morph_text: str, base: Path):
 
 
 def cmd_sketch2pht(args) -> int:
+    from . import translation as tr
     sk = tr.parse_sketch(_read(args.sketch))
     theory = tr.sketch_to_pht(sk)
     text = print_theory(theory)
@@ -261,6 +274,8 @@ def cmd_sketch2pht(args) -> int:
 
 
 def cmd_birkhoff(args) -> int:
+    from . import birkhoff as bk
+    from . import semantics as sm
     ws = Workspace()
     theory = _load_theory(ws, args.theory)
     judgments_theory = parse_theory(_read(args.judgments))

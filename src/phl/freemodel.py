@@ -69,6 +69,7 @@ class TermGraph:
         self.class_depth: dict[int, int] = {}
         self.facts: set[tuple[str, tuple[int, ...]]] = set()
         self.trace: list[TraceEvent] = []
+        self.absorbed: list[int] = []         # roots in the order merges absorbed them
         self.vars: dict[str, int] = {}
         self.n_classes = 0
 
@@ -91,6 +92,7 @@ class TermGraph:
             if ry < rx:
                 rx, ry = ry, rx
             self.parent[ry] = rx
+            self.absorbed.append(ry)
             self.n_classes -= 1
             self.class_depth[rx] = min(self.class_depth[rx],
                                        self.class_depth.pop(ry))
@@ -179,6 +181,7 @@ class TermGraph:
         g.class_depth = dict(self.class_depth)
         g.facts = set(self.facts)
         g.trace = list(self.trace)
+        g.absorbed = list(self.absorbed)
         g.vars = dict(self.vars)
         g.n_classes = self.n_classes
         return g
@@ -376,10 +379,10 @@ def saturation_pass(theory: Theory, g: TermGraph, cap: int | None,
     before = g.stamp()
     deferred = False
     classes = g.classes_by_sort()
-    starting = [c for cs in classes.values() for c in cs]
-    parent = g.parent
-    absorbed: set[int] = set()      # members of `starting` absorbed so far
-    merges = len(parent) - g.n_classes    # absorbed nodes, counted to spot a merge
+    log = g.absorbed
+    seen = len(log)
+    fresh = len(g.parent)           # ids from here on are nodes made in this pass
+    absorbed: set[int] = set()      # starting classes absorbed so far
     left = math.inf if budget is None else budget.remaining
     for ax in theory.axioms:
         seq = ax.sequent
@@ -400,9 +403,9 @@ def saturation_pass(theory: Theory, g: TermGraph, cap: int | None,
                 continue
             if run(g, combo, cap, name):
                 deferred = True
-            if len(parent) - g.n_classes != merges:
-                merges = len(parent) - g.n_classes
-                absorbed = {c for c in starting if parent[c] != c}
+            if len(log) != seen:
+                absorbed.update(c for c in log[seen:] if c < fresh)
+                seen = len(log)
         if abort:
             budget.remaining = left - allowed - 1
             budget.exhausted = True

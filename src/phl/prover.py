@@ -13,8 +13,8 @@ from .freemodel import (
     DEFAULT_WORK_BUDGET, ModelPresentation, SaturationStatus, TraceEvent,
     saturate,
 )
-from .semantics import PartialStructure, enumerate_models, formula_holds_at, \
-    interp_formula
+from .semantics import PartialStructure, formula_holds_at, interp_formula, \
+    iter_models
 from .syntax import (
     App, Conj, Context, Eq, Formula, PhlError, RelApp, Sequent, Signature, Term,
     Theory, Truth, TRUE, Var, atoms, conj, defined, free_vars, is_definedness,
@@ -342,7 +342,8 @@ def prove(theory: Theory, seq: Sequent, depth: int = 4, model_size: int = 4,
 
     Proved when saturating the representing model of the premise to the given
     depth puts the generic tuple inside the conclusion; Refuted by the
-    saturated term model itself or by an enumerated finite countermodel;
+    saturated term model itself or by an enumerated finite countermodel
+    (the first in `enumerate_models` order, which is enumerated no further);
     Unknown otherwise.  `max_work` bounds the axiom instances saturation
     tries (None selects DEFAULT_WORK_BUDGET; a negative budget raises).
     """
@@ -366,7 +367,7 @@ def prove(theory: Theory, seq: Sequent, depth: int = 4, model_size: int = 4,
         witness = p.generic_tuple
         return Refuted(p.structure, witness,
                        "generic tuple of the saturated term model")
-    for m in enumerate_models(theory, model_size):
+    for m in iter_models(theory, model_size):
         for tup in sorted(interp_formula(m, seq.context, seq.premise)):
             if not formula_holds_at(m, seq.context, seq.conclusion, tup):
                 return Refuted(m, tup, "enumerated countermodel")

@@ -719,18 +719,79 @@ def size_profiles(sorts, max_size: int):
         yield dict(zip(sorts, combo))
 
 
+class _LazyModels:
+    """The models of one theory with every carrier of size <= max_size,
+    enumerated only as far as some caller has iterated, and kept in order.
+
+    Iterating replays the kept models and then extends them from the one
+    running enumeration.  Once it is exhausted the models are kept as one
+    tuple, returned by every later `complete()`.  An enumeration that raises
+    is finished, and would read as exhausted if resumed, so it is dropped
+    with the models it kept and the next iteration starts again."""
+
+    def __init__(self, theory: Theory, max_size: int):
+        self._args = (theory, max_size)
+        self._restart()
+
+    def _restart(self) -> None:
+        self._kept: list | tuple = []
+        self._complete = False
+        self._source = self._enumerate(*self._args)
+
+    @staticmethod
+    def _enumerate(theory: Theory, max_size: int):
+        n = 0
+        for sizes in size_profiles(theory.signature.sorts, max_size):
+            for m in enumerate_structures(theory, sizes):
+                yield replace(m, name=f"M{n}")
+                n += 1
+
+    @property
+    def filled(self) -> int:
+        """How many models have been enumerated so far."""
+        return len(self._kept)
+
+    def __iter__(self):
+        i = 0
+        while True:
+            if i < len(self._kept):
+                yield self._kept[i]
+                i += 1
+                continue
+            if self._complete:
+                return
+            try:
+                m = next(self._source)
+            except StopIteration:
+                self._kept, self._complete = tuple(self._kept), True
+                return
+            except BaseException:
+                self._restart()
+                raise
+            self._kept.append(m)
+
+    def complete(self) -> tuple:
+        if not self._complete:
+            for _ in self:
+                pass
+        return self._kept
+
+
 @lru_cache(maxsize=64)
-def _models_cached(theory: Theory, max_size: int) -> tuple:
-    out = []
-    for sizes in size_profiles(theory.signature.sorts, max_size):
-        for m in enumerate_structures(theory, sizes):
-            out.append(replace(m, name=f"M{len(out)}"))
-    return tuple(out)
+def _models_cached(theory: Theory, max_size: int) -> _LazyModels:
+    return _LazyModels(theory, max_size)
 
 
 def enumerate_models(theory: Theory, max_size: int) -> tuple:
-    """All models with every carrier of size <= max_size (cached per theory)."""
-    return _models_cached(theory, max_size)
+    """All models with every carrier of size <= max_size, named M0, M1, ...
+    in enumeration order (cached per theory)."""
+    return _models_cached(theory, max_size).complete()
+
+
+def iter_models(theory: Theory, max_size: int):
+    """The models of `enumerate_models`, in the same order and the same
+    objects, enumerated only as far as the caller iterates."""
+    return iter(_models_cached(theory, max_size))
 
 
 # ---------------------------------------------------------------------------
@@ -794,10 +855,12 @@ def parse_model(text: str, sig: Signature) -> tuple[PartialStructure, str]:
             fname = ts.expect("ident").text
             ts.expect("punct", ":")
             args = _parse_elem_tuple(ts)
+            table = funcs.setdefault(fname, {})
+            if args in table:
+                ts.error(f"fun {fname}: ({','.join(args)}) given twice")
             ts.expect("arrow")
-            val = _elem(ts)
+            table[args] = _elem(ts)
             ts.expect("punct", ";")
-            funcs.setdefault(fname, {})[args] = val
         elif ts.at_word("rel"):
             ts.next()
             rname = ts.expect("ident").text
@@ -840,8 +903,9 @@ def parse_hom(text: str, models: dict[str, PartialStructure]) -> Homomorphism:
         table = maps.setdefault(sort, {})
         while not ts.at("punct", ";"):
             a = _elem(ts)
+            if a in table:
+                ts.error(f"map {sort}: element '{a}' mapped twice")
             ts.expect("arrow")
-            b = _elem(ts)
-            table[a] = b
+            table[a] = _elem(ts)
         ts.expect("punct", ";")
     return Homomorphism(name, src, tgt, maps)

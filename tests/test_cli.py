@@ -159,6 +159,13 @@ class TestFactor:
         assert out == ""
         assert "map for unknown sort 'bogus'" in err
 
+    def test_element_mapped_twice_exit_11(self, files, capsys):
+        (files / "twice.hom").write_text(COLLAPSE_HOM + "map *: a->a;\n")
+        code, out, err = run(capsys, "factor", files / "pos.phl",
+                             files / "twice.hom")
+        assert (code, out) == (11, "")
+        assert "map *: element 'a' mapped twice" in err
+
     def test_sibling_models_from_commented_compact_header(self, files, capsys):
         (files / "compact.hom").write_text(
             "# the collapse, header written without spaces\n"

@@ -2,6 +2,10 @@
 no separate lint step."""
 import ast
 import functools
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -100,3 +104,31 @@ def test_detects_unreferenced_private(tmp_path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unreferenced_private_definitions(path):
     assert unreferenced_private(path, CALLERS) == []
+
+
+# `phl.cli` imports each engine module inside the subcommand that runs it, so
+# that a fresh `phl` process compiles and loads only those
+CLI_BASE = {"phl", "phl.cli", "phl.syntax"}
+
+
+@pytest.mark.parametrize("argv, engines", [
+    (None, set()),
+    (["fmt", "data/mon.phl"], set()),
+    (["check", "data/pos.phl", "data/chain2.model"], {"phl.semantics"}),
+    (["prove", "data/mon.phl", "[x:*] true |- mul(x,x) = x", "-k", "2"],
+     {"phl.semantics", "phl.freemodel", "phl.prover"}),
+], ids=["import", "fmt", "check", "prove"])
+def test_cli_loads_only_the_engine_it_runs(argv, engines):
+    code = ("import contextlib, io, json, sys\n"
+            "import phl.cli\n"
+            f"argv = {argv!r}\n"
+            "if argv is not None:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        phl.cli.main(argv)\n"
+            "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'phl']))\n")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src")
+               + (os.pathsep + path if path else ""))
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert set(json.loads(out.stdout)) == CLI_BASE | engines

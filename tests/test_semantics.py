@@ -12,14 +12,15 @@ from phl.semantics import (
     ChainDiagram, Homomorphism, HoldsResult, PartialStructure, SemanticsError,
     chain_colimit, check_hom, compose_homs, context_tuples, enumerate_homs,
     enumerate_models, enumerate_structures, formula_holds_at, holds,
-    identity_hom, interp_formula, interp_term, is_model, make_structure,
-    parse_hom, parse_model, print_hom, print_model, product, size_profiles,
-    terminal,
+    identity_hom, interp_formula, interp_term, is_model, iter_models,
+    make_structure, parse_hom, parse_model, print_hom, print_model, product,
+    size_profiles, terminal,
 )
+from phl.prover import Refuted, prove
 from phl.sampling import random_sequent
-from phl.syntax import App, Conj, Context, EQ, Eq, FuncDecl, REL, RelApp, TRUE, \
-    Truth, Var, atoms, conj, defined, flatten, parse_sequent, parse_theory, \
-    subterms
+from phl.syntax import App, Conj, Context, EQ, Eq, FuncDecl, ParseError, REL, \
+    RelApp, TRUE, Truth, Var, atoms, conj, defined, flatten, parse_sequent, \
+    parse_theory, subterms
 from phl.translation import sketch_to_pht
 from phl.theories import (
     MON_SRC, antichain_poset, cat_theory, chain_poset, cycle_preorder, mon_inv_theory,
@@ -279,6 +280,56 @@ class TestEnumeration:
         assert len(models) == 1 + 4      # no empty monoid: the unit is a constant
 
 
+def eager_models(theory, max_size) -> tuple:
+    """The models as one eager pass over the size profiles names them."""
+    out = [m for sizes in size_profiles(theory.signature.sorts, max_size)
+           for m in enumerate_structures(theory, sizes)]
+    return tuple(replace(m, name=f"M{i}") for i, m in enumerate(out))
+
+
+class TestLazyModelSearch:
+    def test_prove_stops_at_first_countermodel(self, mon):
+        semantics._models_cached.cache_clear()
+        seq = parse_sequent("[x:*, y:*] true |- mul(x,y) = mul(y,x)", mon.signature)
+        r = prove(mon, seq, model_size=4)
+        assert isinstance(r, Refuted)
+        assert (r.countermodel.name, r.witness) == ("M9", ("u1", "u2"))
+        assert semantics._models_cached(mon, 4).filled == 10
+        # the rest is enumerated on demand, in the eager order
+        models = enumerate_models(mon, 4)
+        assert models == eager_models(mon, 4)
+        assert len(models) == 662 and models[9] is r.countermodel
+        assert enumerate_models(mon, 4) is models
+
+    def test_iterators_share_one_enumeration(self, pos):
+        semantics._models_cached.cache_clear()
+        first = iter_models(pos, 3)
+        head = [next(first) for _ in range(5)]
+        models = enumerate_models(pos, 3)
+        assert head + list(first) == list(models) == list(iter_models(pos, 3))
+        assert all(a is b for a, b in zip(iter_models(pos, 3), models))
+
+    def test_enumeration_that_raises_is_not_cached(self, mon, monkeypatch):
+        semantics._models_cached.cache_clear()
+        real = semantics.enumerate_structures
+
+        class Interrupted(Exception):
+            pass
+
+        def interrupted(theory, sizes):
+            for i, m in enumerate(real(theory, sizes)):
+                if sizes == {"*": 3} and i == 2:
+                    raise Interrupted
+                yield m
+
+        monkeypatch.setattr(semantics, "enumerate_structures", interrupted)
+        with pytest.raises(Interrupted):
+            enumerate_models(mon, 3)
+        assert semantics._models_cached(mon, 3).filled == 0
+        monkeypatch.undo()
+        assert enumerate_models(mon, 3) == eager_models(mon, 3)
+
+
 class TestMonotonicity:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -321,6 +372,18 @@ class TestTextFormats:
         text = print_hom(h)
         h2 = parse_hom(text, {"chain2": chain2})
         assert h2.maps == h.maps
+
+    @pytest.mark.parametrize("maps", ["map *: a->a a->b b->b;\n",
+                                      "map *: a->b b->b;\nmap *: a->a;\n"])
+    def test_hom_element_mapped_twice(self, chain2, maps):
+        with pytest.raises(ParseError, match=r"map \*: element 'a' mapped twice"):
+            parse_hom("hom h : chain2 -> chain2\n" + maps, {"chain2": chain2})
+
+    def test_fun_entry_given_twice(self, mon):
+        text = ("model m of mon\ncarrier *: a b;\nfun e: () -> a;\n"
+                "fun mul: (a,a) -> a;\nfun mul: (a,a) -> b;\n")
+        with pytest.raises(ParseError, match=r"fun mul: \(a,a\) given twice"):
+            parse_model(text, mon.signature)
 
 
 # ---------------------------------------------------------------------------
