@@ -14,18 +14,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .syntax import (
-    ParseError, PhlError, Theory, TokenStream, WellFormedError,
-    parse_arrow_header, parse_formula_in_context, parse_sequent, parse_theory,
-    print_formula, print_sequent, print_theory,
+    PhlError, TokenStream, WellFormedError, parse_arrow_header,
+    parse_formula_in_context, parse_sequent, parse_theory, print_formula,
+    print_sequent, print_theory,
 )
-
-if TYPE_CHECKING:
-    from .semantics import PartialStructure
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -48,41 +43,35 @@ class _UsageError(Exception):
     pass
 
 
-@dataclass
-class Workspace:
-    """Artifacts loaded for one command, keyed by name per kind."""
-    theories: dict[str, Theory] = field(default_factory=dict)
-    models: dict[str, PartialStructure] = field(default_factory=dict)
-
-    def add_theory(self, t: Theory):
-        if t.name in self.theories:
-            raise PhlError(f"duplicate theory name '{t.name}'")
-        self.theories[t.name] = t
-
-    def add_model(self, m: PartialStructure):
-        if m.name in self.models:
-            raise PhlError(f"duplicate model name '{m.name}'")
-        self.models[m.name] = m
-
-
-def _read(path: str) -> str:
+def _read(path) -> str:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(path)
     return p.read_text()
 
 
-def _load_theory(ws: Workspace, path: str) -> Theory:
-    t = parse_theory(_read(path))
-    ws.add_theory(t)
-    return t
+def _load(found: dict, kind: str, path, parse):
+    """Parse the file at `path` and key what it declares by name in `found`;
+    a name already there is an error."""
+    item = parse(_read(path))
+    if item.name in found:
+        raise PhlError(f"duplicate {kind} name '{item.name}'")
+    found[item.name] = item
+    return item
 
 
-def _load_model(ws: Workspace, path: str, theory: Theory) -> PartialStructure:
-    from . import semantics as sm
-    m, _ = sm.parse_model(_read(path), theory.signature)
-    ws.add_model(m)
-    return m
+def _read_arrow(path: str, header: str, found: dict, parse) -> str:
+    """Read the `header` ("hom" or "morphism") file at `path`.  Each endpoint
+    its header names that `found` lacks is loaded from a NAME.model (hom) or
+    NAME.phl (morphism) file next to it, if there is one."""
+    text = _read(path)
+    _, src, tgt = parse_arrow_header(TokenStream(text), header)
+    kind, suffix = ("model", ".model") if header == "hom" else ("theory", ".phl")
+    for name in (src, tgt):
+        sibling = Path(path).parent / f"{name}{suffix}"
+        if name not in found and sibling.exists():
+            _load(found, kind, sibling, parse)
+    return text
 
 
 def _default_depth() -> int:
@@ -108,9 +97,8 @@ def _emit(args, report: dict, text_lines: list[str]) -> None:
 
 def cmd_check(args) -> int:
     from . import semantics as sm
-    ws = Workspace()
-    theory = _load_theory(ws, args.theory)
-    model = _load_model(ws, args.model, theory)
+    theory = parse_theory(_read(args.theory))
+    model, _ = sm.parse_model(_read(args.model), theory.signature)
     report = sm.is_model(model, theory)
     payload = {
         "command": "check", "theory": theory.name, "model": model.name,
@@ -129,8 +117,7 @@ def cmd_check(args) -> int:
 def cmd_prove(args) -> int:
     from . import prover as pv
     from . import semantics as sm
-    ws = Workspace()
-    theory = _load_theory(ws, args.theory)
+    theory = parse_theory(_read(args.theory))
     seq = parse_sequent(args.sequent, theory.signature)
     result = pv.prove(theory, seq, depth=args.depth, model_size=args.model_size)
     payload = {"command": "prove", "theory": theory.name,
@@ -164,8 +151,7 @@ def cmd_prove(args) -> int:
 def cmd_free(args) -> int:
     from . import freemodel as fm
     from . import semantics as sm
-    ws = Workspace()
-    theory = _load_theory(ws, args.theory)
+    theory = parse_theory(_read(args.theory))
     ctx, formula = parse_formula_in_context(args.formula, theory.signature)
     p = fm.representing_model(theory, ctx, formula, args.depth)
     model_text = sm.print_model(p.structure, theory.name)
@@ -180,12 +166,15 @@ def cmd_free(args) -> int:
 def cmd_factor(args) -> int:
     from . import morphology as mo
     from . import semantics as sm
-    ws = Workspace()
-    theory = _load_theory(ws, args.theory)
+    theory = parse_theory(_read(args.theory))
+
+    def parse(text):
+        return sm.parse_model(text, theory.signature)[0]
+
+    models: dict = {}
     for path in args.model or []:
-        _load_model(ws, path, theory)
-    hom_text = _read(args.hom)
-    hom = sm.parse_hom(hom_text, _models_for_hom(ws, hom_text, args, theory))
+        _load(models, "model", path, parse)
+    hom = sm.parse_hom(_read_arrow(args.hom, "hom", models, parse), models)
     fr = mo.factorize(hom)
     payload = {"command": "factor", "hom": hom.name,
                "mid": sm.print_model(fr.mid, theory.name),
@@ -198,32 +187,14 @@ def cmd_factor(args) -> int:
     return EXIT_OK
 
 
-def _models_for_hom(ws: Workspace, hom_text: str, args,
-                    theory: Theory) -> dict[str, PartialStructure]:
-    """Resolve the models a hom file mentions: from --model flags first, then
-    sibling NAME.model files."""
-    from . import semantics as sm
-    out = dict(ws.models)
-    _, src, tgt = parse_arrow_header(TokenStream(hom_text), "hom")
-    for name in (src, tgt):
-        if name in out:
-            continue
-        sibling = Path(args.hom).parent / f"{name}.model"
-        if sibling.exists():
-            m, _ = sm.parse_model(sibling.read_text(), theory.signature)
-            out[m.name] = m
-    return out
-
-
 def cmd_translate(args) -> int:
     from . import semantics as sm
     from . import translation as tr
-    ws = Workspace()
+    theories: dict = {}
     for path in args.theory or []:
-        _load_theory(ws, path)
-    morph_text = _read(args.morphism)
-    _autoload_theories(ws, morph_text, Path(args.morphism).parent)
-    rho = tr.parse_morphism(morph_text, ws.theories)
+        _load(theories, "theory", path, parse_theory)
+    rho = tr.parse_morphism(
+        _read_arrow(args.morphism, "morphism", theories, parse_theory), theories)
     if args.check:
         report = tr.check_theory_morphism(rho, depth=args.depth)
         payload = {"command": "translate", "morphism": rho.name,
@@ -253,16 +224,6 @@ def cmd_translate(args) -> int:
     return EXIT_OK
 
 
-def _autoload_theories(ws: Workspace, morph_text: str, base: Path):
-    _, src, tgt = parse_arrow_header(TokenStream(morph_text), "morphism")
-    for name in (src, tgt):
-        if name in ws.theories:
-            continue
-        sibling = base / f"{name}.phl"
-        if sibling.exists():
-            ws.add_theory(parse_theory(sibling.read_text()))
-
-
 def cmd_sketch2pht(args) -> int:
     from . import translation as tr
     sk = tr.parse_sketch(_read(args.sketch))
@@ -276,37 +237,30 @@ def cmd_sketch2pht(args) -> int:
 def cmd_birkhoff(args) -> int:
     from . import birkhoff as bk
     from . import semantics as sm
-    ws = Workspace()
-    theory = _load_theory(ws, args.theory)
+    theory = parse_theory(_read(args.theory))
     judgments_theory = parse_theory(_read(args.judgments))
     if judgments_theory.signature != theory.signature:
         raise WellFormedError("judgment file must share the theory's signature")
     pool_dir = Path(args.pool)
     if not pool_dir.is_dir():
         raise FileNotFoundError(args.pool)
-    pool = []
-    seen_names = set()
+    found: dict = {}
     for path in sorted(pool_dir.glob("*.model")):
-        m, _ = sm.parse_model(path.read_text(), theory.signature)
-        if m.name in seen_names:
-            raise WellFormedError(f"duplicate pool model name '{m.name}'")
-        seen_names.add(m.name)
-        report = sm.is_model(m, theory)
-        if not report.ok:
+        m = _load(found, "pool model", path,
+                  lambda text: sm.parse_model(text, theory.signature)[0])
+        if not sm.is_model(m, theory).ok:
             raise WellFormedError(f"pool member '{m.name}' is not a model")
-        pool.append(m)
+    pool = list(found.values())
     class_matches = None
     if args.class_filter:
         filter_theory = parse_theory(_read(args.class_filter))
         if filter_theory.signature != theory.signature:
             raise WellFormedError("class file must share the theory's signature")
-        by_judgments = {m.name for m in pool
-                        if all(sm.holds(m, j.sequent).ok
-                               for j in judgments_theory.axioms)}
-        by_filter = {m.name for m in pool
-                     if all(sm.holds(m, j.sequent).ok
-                            for j in filter_theory.axioms)}
-        class_matches = sorted(by_judgments ^ by_filter)
+
+        def members(t):
+            return {m.name for m in pool
+                    if all(sm.holds(m, j.sequent).ok for j in t.axioms)}
+        class_matches = sorted(members(judgments_theory) ^ members(filter_theory))
     rep = bk.definability_check(theory, judgments_theory.axioms, pool,
                                 depth=args.depth, size_cap=args.size_cap)
     ok = rep.ok and not class_matches
@@ -449,9 +403,6 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"missing file: {e}", file=sys.stderr)
         return EXIT_MISSING
-    except (ParseError, WellFormedError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
     except PhlError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -44,16 +44,15 @@ class PartialStructure:
         return sum(len(c) for c in self.carriers.values())
 
 
-def make_structure(name: str, sig: Signature, carriers, funcs=None, rels=None,
-                   check: bool = True) -> PartialStructure:
+def make_structure(name: str, sig: Signature, carriers, funcs=None,
+                   rels=None) -> PartialStructure:
     carriers = {s: tuple(carriers.get(s, ())) for s in sig.sorts}
     funcs = {f: dict(t) for f, t in (funcs or {}).items()}
     rels = {r: frozenset(tuple(x) for x in t) for r, t in (rels or {}).items()}
     m = PartialStructure(name, sig, carriers, funcs, rels)
-    if check:
-        problems = structure_diagnostics(m)
-        if problems:
-            raise SemanticsError(f"bad structure '{name}': " + "; ".join(problems))
+    problems = structure_diagnostics(m)
+    if problems:
+        raise SemanticsError(f"bad structure '{name}': " + "; ".join(problems))
     return m
 
 
@@ -429,11 +428,12 @@ class ChainDiagram:
 
 
 def _diagram_diagnostics(d: ChainDiagram) -> list[str]:
-    out = []
+    """Problems with `d` as a diagram; the order and arrow checks come first
+    so that the functoriality check below only indexes arrows that exist."""
     ids = sorted(d.stages)
     if not ids:
-        out.append("empty diagram")
-        return out
+        return ["empty diagram"]
+    out = []
     for i in ids:
         if not d.leq(i, i):
             out.append(f"order not reflexive at {i}")
@@ -442,15 +442,24 @@ def _diagram_diagnostics(d: ChainDiagram) -> list[str]:
             out.append(f"order not antisymmetric on {i},{j}")
         if i != j and (i, j) not in d.arrows:
             out.append(f"missing arrow {i} -> {j}")
+        out += [f"order not transitive at {i},{j},{k}"
+                for j2, k in d.order if j2 == j and not d.leq(i, k)]
     for i, j in itertools.product(ids, repeat=2):
         if not any(d.leq(i, k) and d.leq(j, k) for k in ids):
             out.append(f"poset not directed at {i},{j}")
             break
     for (i, j), h in d.arrows.items():
+        if i not in d.stages or j not in d.stages:
+            out.append(f"arrow {i} -> {j} has an unknown stage")
+            continue
+        if not d.leq(i, j):
+            out.append(f"arrow {i} -> {j} is outside the order")
         if not check_hom(h):
             out.append(f"arrow {i} -> {j} is not a homomorphism")
         if h.source != d.stages[i] or h.target != d.stages[j]:
             out.append(f"arrow {i} -> {j} has wrong endpoints")
+    if out:
+        return out
     for i, j in d.order:
         for k in ids:
             if i != j and j != k and d.leq(j, k):

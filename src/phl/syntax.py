@@ -33,12 +33,9 @@ class SubstitutionError(PhlError):
 @dataclass(frozen=True)
 class Diagnostic:
     message: str
-    line: int | None = None
-    col: int | None = None
 
     def __str__(self):
-        where = f"{self.line}:{self.col}: " if self.line is not None else ""
-        return f"{where}{self.message}"
+        return self.message
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +176,6 @@ class Context:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.vars)
-
-    def extend(self, more) -> "Context":
-        return Context(self.vars + tuple(more))
 
     def __len__(self):
         return len(self.vars)

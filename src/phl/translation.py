@@ -55,6 +55,8 @@ class TheoryMorphism:
 
 
 def _morphism_diagnostics(rho: TheoryMorphism) -> list[str]:
+    """Problems with `rho` as a theory morphism; the sort and symbol checks
+    come first so that the assignments are typed only over mapped sorts."""
     out = []
     src, tgt = rho.source.signature, rho.target.signature
     for s in src.sorts:
@@ -62,6 +64,14 @@ def _morphism_diagnostics(rho: TheoryMorphism) -> list[str]:
             out.append(f"unmapped sort '{s}'")
         elif rho.sort_map[s] not in tgt.sorts:
             out.append(f"sort '{s}' mapped to unknown '{rho.sort_map[s]}'")
+    out += [f"sort map for unknown sort '{s}'"
+            for s in rho.sort_map if s not in src.sorts]
+    out += [f"assignment for unknown function '{f}'"
+            for f in rho.func_map if src.function(f) is None]
+    out += [f"assignment for unknown relation '{r}'"
+            for r in rho.rel_map if src.relation(r) is None]
+    if out:
+        return out
     for f in src.functions:
         a = rho.func_map.get(f.name)
         if a is None:

@@ -39,6 +39,14 @@ fun s => [f:e] s(f);
 fun t => [f:e] t(f);
 """
 
+EDGE = """\
+model edge of quiv
+carrier e: f0;
+carrier v: v0 v1;
+fun s: (f0) -> v0;
+fun t: (f0) -> v1;
+"""
+
 SKETCH_SRC = """\
 sketch prodsk
 objects: s1 s2 v;
@@ -135,6 +143,34 @@ class TestProve:
         assert code == 0
         assert json.loads(out)["depth"] == 2
 
+    def test_bad_depth_env_exit_10(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("PHL_BUDGET_DEPTH", "two")
+        code, out, err = run(capsys, "prove", files / "pos.phl",
+                             "[x:*] true |- leq(x,x)")
+        assert (code, out) == (10, "")
+        assert err == "usage error: bad PHL_BUDGET_DEPTH 'two'\n"
+
+    def test_elaborate_prints_tree(self, files, capsys):
+        code, out, _ = run(capsys, "prove", files / "pos.phl",
+                           "[x:*] true |- leq(x,x)", "--elaborate")
+        assert code == 0
+        assert "[rule Axiom {\"name\": \"refl\"}]" in out
+        code, out, _ = run(capsys, "prove", files / "pos.phl",
+                           "[x:*] true |- leq(x,x)", "--elaborate", "--json")
+        assert "[rule Axiom" in json.loads(out)["derivation"]
+
+    def test_elaborate_without_tree(self, files, capsys):
+        # two unit instances: proved by saturation, out of elaborate's reach
+        seq = "[x:*] true |- mul(mul(e,x),e) = x"
+        code, out, _ = run(capsys, "prove", files / "mon.phl", seq,
+                           "--elaborate")
+        assert code == 0
+        assert out.splitlines()[1] == ("no explicit tree found; "
+                                       "saturation trace stands")
+        code, out, _ = run(capsys, "prove", files / "mon.phl", seq,
+                           "--elaborate", "--json")
+        assert json.loads(out)["derivation"] is None
+
 
 class TestFree:
     def test_presentation_output(self, files, capsys):
@@ -203,6 +239,29 @@ class TestFactor:
         assert (code, out) == (11, "")
         assert err == "error: 'flip' is not a homomorphism\n"
 
+    def test_repeated_model_name_exit_11(self, files, capsys):
+        code, out, err = run(capsys, "factor", files / "pos.phl",
+                             files / "collapse.hom",
+                             "--model", files / "chain2.model",
+                             "--model", files / "chain2.model")
+        assert (code, out) == (11, "")
+        assert err == "error: duplicate model name 'chain2'\n"
+
+    def test_sibling_model_colliding_with_model_flag(self, files, capsys):
+        # the sibling chain2.model declares the model that --model loaded
+        # as c2, so the two cannot both be c2
+        other = files / "other"
+        other.mkdir()
+        (other / "c2.model").write_text(CHAIN2.replace("chain2", "c2"))
+        (files / "chain2.model").write_text(CHAIN2.replace("chain2", "c2"))
+        (files / "to_c2.hom").write_text("hom h : chain2 -> c2\n"
+                                         "map *: a->a b->b;\n")
+        code, out, err = run(capsys, "factor", files / "pos.phl",
+                             files / "to_c2.hom",
+                             "--model", other / "c2.model")
+        assert (code, out) == (11, "")
+        assert err == "error: duplicate model name 'c2'\n"
+
 
 class TestTranslate:
     def test_check_obligations(self, files, capsys):
@@ -225,6 +284,82 @@ class TestTranslate:
                              "[f:e] true |- def(s(f))")
         assert code == 0, err
         assert "def(s(f))" in out
+
+    def test_model_translation(self, files, capsys):
+        (files / "edge.model").write_text(EDGE)
+        code, out, _ = run(capsys, "translate", files / "emb.phlm",
+                           files / "edge.model", "--json")
+        assert code == 0
+        assert json.loads(out)["model"] == EDGE.replace("model edge",
+                                                        "model U_edge")
+
+    def test_missing_input_exit_10(self, files, capsys):
+        code, out, err = run(capsys, "translate", files / "emb.phlm")
+        assert (code, out) == (10, "")
+        assert err == ("usage error: translate needs INPUT "
+                       "(a model file or an inline sequent)\n")
+
+    def test_check_refuted_exit_1(self, files, capsys):
+        (files / "loops.phl").write_text(
+            QUIV_SRC.replace("theory quiv", "theory loops")
+            + "axiom loop [f:e] true |- s(f) = t(f);\n")
+        (files / "unloop.phlm").write_text(
+            MORPH_SRC.replace("emb : quiv", "unloop : loops"))
+        code, out, _ = run(capsys, "translate", "--check",
+                           files / "unloop.phlm")
+        assert code == 1
+        assert out == "st_total: Proved\nloop: Refuted\nnot accepted\n"
+
+    def test_check_unknown_exit_2(self, files, capsys):
+        (files / "cmon.phl").write_text(
+            "theory cmon\nsorts: *\nfun e : -> *;\nfun mul : * * -> *;\n"
+            "axiom comm [x:*, y:*] true |- mul(x,y) = mul(y,x);\n")
+        (files / "forget.phlm").write_text(
+            "morphism forget : cmon -> mon\nsort * => *;\nfun e => [] e;\n"
+            "fun mul => [x:*, y:*] mul(x,y);\n")
+        code, out, _ = run(capsys, "translate", "--check",
+                           files / "forget.phlm", "-d", "1", "--json")
+        assert code == 2
+        assert json.loads(out)["obligations"] == {"comm": "Unknown"}
+
+    def test_repeated_theory_name_exit_11(self, files, capsys):
+        code, out, err = run(capsys, "translate", files / "emb.phlm",
+                             "[f:e] true |- def(s(f))",
+                             "--theory", files / "quiv.phl",
+                             "--theory", files / "quiv.phl")
+        assert (code, out) == (11, "")
+        assert err == "error: duplicate theory name 'quiv'\n"
+
+    def test_sibling_theory_colliding_with_theory_flag(self, files, capsys):
+        other = files / "other"
+        other.mkdir()
+        (other / "q.phl").write_text(QUIV_SRC)
+        (files / "to_q.phlm").write_text(
+            MORPH_SRC.replace("emb : quiv -> quiv", "emb : q -> quiv"))
+        (files / "q.phl").write_text(QUIV_SRC)
+        code, out, err = run(capsys, "translate", files / "to_q.phlm",
+                             "[f:e] true |- def(s(f))",
+                             "--theory", other / "q.phl")
+        assert (code, out) == (11, "")
+        assert err == "error: duplicate theory name 'quiv'\n"
+
+    def test_unmapped_sort_exit_11(self, files, capsys):
+        (files / "gap.phlm").write_text(MORPH_SRC.replace("sort v => v;\n", ""))
+        code, out, err = run(capsys, "translate", files / "gap.phlm",
+                             "[f:e] true |- def(s(f))")
+        assert (code, out) == (11, "")
+        assert err == "error: bad theory morphism 'emb': unmapped sort 'v'\n"
+
+    def test_unknown_source_symbols_exit_11(self, files, capsys):
+        (files / "extra.phlm").write_text(
+            MORPH_SRC + "sort w => v;\nfun u => [f:e] s(f);\n"
+            "rel r => [x:v] x = x;\n")
+        code, out, err = run(capsys, "translate", files / "extra.phlm",
+                             "[f:e] true |- def(s(f))")
+        assert (code, out) == (11, "")
+        assert err == ("error: bad theory morphism 'emb': sort map for "
+                       "unknown sort 'w'; assignment for unknown function "
+                       "'u'; assignment for unknown relation 'r'\n")
 
 
 class TestSketch:
@@ -320,12 +455,97 @@ class TestBirkhoff:
         assert code == 1
         assert "class mismatch" in out
 
+    def test_judgment_signature_mismatch(self, files, capsys, tmp_path):
+        pool = tmp_path / "pool"
+        pool.mkdir()
+        code, out, err = run(capsys, "birkhoff", files / "preord.phl",
+                             "--pool", pool, "--judgments", files / "mon.phl")
+        assert (code, out) == (11, "")
+        assert err == "error: judgment file must share the theory's signature\n"
+
+    def test_class_signature_mismatch(self, files, capsys, tmp_path):
+        pool = tmp_path / "pool"
+        pool.mkdir()
+        code, out, err = run(capsys, "birkhoff", files / "preord.phl",
+                             "--pool", pool, "--judgments", files / "pos.phl",
+                             "--class", files / "mon.phl")
+        assert (code, out) == (11, "")
+        assert err == "error: class file must share the theory's signature\n"
+
+    def test_pool_not_a_directory_exit_12(self, files, capsys):
+        code, out, err = run(capsys, "birkhoff", files / "preord.phl",
+                             "--pool", files / "chain2.model",
+                             "--judgments", files / "pos.phl")
+        assert (code, out) == (12, "")
+        assert err == f"missing file: {files / 'chain2.model'}\n"
+
+    def test_repeated_pool_model_name(self, files, capsys, tmp_path):
+        pool = tmp_path / "pool"
+        pool.mkdir()
+        (pool / "a.model").write_text(CHAIN2)
+        (pool / "b.model").write_text(CHAIN2)
+        code, out, err = run(capsys, "birkhoff", files / "pos.phl",
+                             "--pool", pool, "--judgments", files / "pos.phl")
+        assert (code, out) == (11, "")
+        assert err == "error: duplicate pool model name 'chain2'\n"
+
+    def test_pool_member_not_a_model(self, files, capsys, tmp_path):
+        pool = tmp_path / "pool"
+        pool.mkdir()
+        (pool / "a.model").write_text(CHAIN2)
+        (pool / "b.model").write_text(CYCLE)
+        code, out, err = run(capsys, "birkhoff", files / "pos.phl",
+                             "--pool", pool, "--judgments", files / "pos.phl")
+        assert (code, out) == (11, "")
+        assert err == "error: pool member 'cyc' is not a model\n"
+
+    def test_truncated_presentation_skipped(self, files, capsys, tmp_path):
+        from phl.semantics import enumerate_models, print_model
+        from phl.theories import mon_theory
+        pool = tmp_path / "pool"
+        pool.mkdir()
+        for m in enumerate_models(mon_theory(), 2):
+            (pool / f"{m.name}.model").write_text(print_model(m, "mon"))
+        judg = tmp_path / "idem.phl"
+        judg.write_text(MON_SRC.split("axiom")[0].replace("theory mon",
+                                                          "theory idem")
+                        + "axiom idem [x:*] true |- mul(x,x) = x;\n")
+        code, out, _ = run(capsys, "birkhoff", files / "mon.phl",
+                           "--pool", pool, "--judgments", judg, "-d", "1")
+        assert code == 0
+        assert "  skipped: idem: presentation truncated at depth 1\n" in out
+
+    def test_failure_lines(self, files, capsys, tmp_path, monkeypatch):
+        # sound closures never reach a failure, so the report is stubbed
+        from phl import birkhoff
+        rep = birkhoff.DefinabilityReport(
+            class_size=1, fixed_point=False, closure_failures=("M1xM1",),
+            pool_insufficiency=(), orthogonality_ok=False,
+            orthogonality_failures=("antisym vs M0",))
+        monkeypatch.setattr(birkhoff, "definability_check",
+                            lambda *a, **k: rep)
+        pool = tmp_path / "pool"
+        pool.mkdir()
+        code, out, _ = run(capsys, "birkhoff", files / "preord.phl",
+                           "--pool", pool, "--judgments", files / "preord.phl")
+        assert code == 1
+        assert out == ("class size: 1\nhsp fixed point: NO\n"
+                       "  closure failure: M1xM1\n"
+                       "orthogonality matches validity: NO\n"
+                       "  mismatch: antisym vs M0\nFAIL\n")
+
 
 class TestFmt:
     def test_pretty_print(self, files, capsys):
         code, out, _ = run(capsys, "fmt", files / "pos.phl")
         assert code == 0
         assert out.startswith("theory pos")
+
+    def test_not_a_theory_exit_10(self, files, capsys):
+        code, out, err = run(capsys, "fmt", files / "chain2.model")
+        assert (code, out) == (10, "")
+        assert err == ("usage error: fmt supports theory files "
+                       "(header 'theory NAME')\n")
 
 
 class TestJsonDeterminism:

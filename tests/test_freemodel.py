@@ -455,6 +455,25 @@ def constant_theory():
 
 
 class TestFreeAlgebra:
+    def test_bounded_posets_over_a_chain(self):
+        # the base model is a chain, not a bare set: its leq table becomes
+        # constraints, and the free top sits above both elements
+        from phl.translation import is_algebra
+        top = NamedAxiom("top", Sequent(Context((("x", "*"),)), TRUE,
+                                        RelApp("leq", (Var("x"), App("t", ())))))
+        rt = make_relative_theory(
+            pos_theory(), [RelOperator("t", Context(), TRUE, "*")], [top])
+        fa = free_algebra(rt, chain_poset(2), 2)
+        m = fa.presentation.structure
+        assert fa.presentation.status.saturated
+        a, b = fa.unit.maps["*"]["a"], fa.unit.maps["*"]["b"]
+        t = m.func_table("t")[()]
+        assert sorted(m.carrier("*")) == sorted((a, b, t))
+        assert m.rel_table("leq") == {(a, a), (a, b), (a, t), (b, b), (b, t),
+                                      (t, t)}
+        assert check_hom(fa.unit)
+        assert is_algebra(m, rt).ok
+
     def test_free_constant_on_point(self):
         rt = constant_theory()
         base = make_structure("one", set_theory().signature, {"*": ("a",)})

@@ -235,6 +235,52 @@ class TestChainColimit:
         with pytest.raises(SemanticsError):
             chain_colimit(pos_theory(), d)
 
+    def test_missing_arrow_rejected(self, pos):
+        c1, c2, c3 = chain_poset(1), chain_poset(2), chain_poset(3)
+        d = ChainDiagram(
+            order=(("0", "0"), ("1", "1"), ("2", "2"), ("0", "1"),
+                   ("1", "2"), ("0", "2")),
+            stages={"0": c1, "1": c2, "2": c3},
+            arrows={("0", "1"): self.inclusion(c1, c2),
+                    ("1", "2"): self.inclusion(c2, c3)})
+        with pytest.raises(SemanticsError,
+                           match=r"^bad diagram: missing arrow 0 -> 2$"):
+            chain_colimit(pos_theory(), d)
+
+    def test_arrow_on_unknown_stage_rejected(self, pos):
+        c1, c2 = chain_poset(1), chain_poset(2)
+        d = ChainDiagram(order=(("0", "0"), ("1", "1"), ("0", "1")),
+                         stages={"0": c1, "1": c2},
+                         arrows={("0", "1"): self.inclusion(c1, c2),
+                                 ("0", "9"): self.inclusion(c1, c2)})
+        with pytest.raises(SemanticsError,
+                           match=r"^bad diagram: arrow 0 -> 9 has an unknown stage$"):
+            chain_colimit(pos_theory(), d)
+
+    def test_arrow_outside_the_order_rejected(self, pos):
+        c1, c2 = chain_poset(1), chain_poset(2)
+        d = ChainDiagram(order=(("0", "0"), ("1", "1"), ("0", "1")),
+                         stages={"0": c1, "1": c2},
+                         arrows={("0", "1"): self.inclusion(c1, c2),
+                                 ("1", "0"): Homomorphism(
+                                     "r", c2, c1, {"*": {"a": "a", "b": "a"}})})
+        with pytest.raises(SemanticsError,
+                           match=r"^bad diagram: arrow 1 -> 0 is outside the order$"):
+            chain_colimit(pos_theory(), d)
+
+    def test_order_not_transitive_rejected(self, pos):
+        # directed (3 is the top) but without the pair 0 <= 2
+        c = [chain_poset(n) for n in (1, 2, 3, 4)]
+        pairs = [("0", "1"), ("1", "2"), ("0", "3"), ("1", "3"), ("2", "3")]
+        d = ChainDiagram(
+            order=tuple((i, i) for i in "0123") + tuple(pairs),
+            stages={str(n): c[n] for n in range(4)},
+            arrows={(i, j): self.inclusion(c[int(i)], c[int(j)])
+                    for i, j in pairs})
+        with pytest.raises(SemanticsError,
+                           match=r"^bad diagram: order not transitive at 0,1,2$"):
+            chain_colimit(pos_theory(), d)
+
 
 class TestEnumeration:
     def test_monoid_counts(self, mon):

@@ -605,3 +605,14 @@ class TestMorphismFormat:
                                      "cat": cat_theory()})
         assert rho2.sort_map == rho.sort_map
         assert rho2.func_map == rho.func_map
+
+    def test_relation_assignment_roundtrip(self, pos, chain2):
+        # leq |-> the opposite order: parse, print back, restrict a model
+        text = ("morphism op : pos -> pos\nsort * => *;\n"
+                "rel leq => [x:*, y:*] leq(y, x);\n")
+        rho = parse_morphism(text, {"pos": pos})
+        assert rho.rel_map["leq"] == RelAssignment(
+            ("x", "y"), RelApp("leq", (Var("y"), Var("x"))))
+        assert print_morphism(rho) == text
+        out = U_rho(rho, chain2)
+        assert out.rel_table("leq") == {("a", "a"), ("b", "a"), ("b", "b")}
