@@ -23,43 +23,39 @@ class BirkhoffError(PhlError):
 # ---------------------------------------------------------------------------
 # universes of models up to isomorphism
 
-def _element_invariants(m: PartialStructure) -> dict[str, dict[str, tuple]]:
+def _element_invariants(m: PartialStructure) -> dict[str, dict[str, int]]:
     """Iteratively refined isomorphism-invariant colors per element (cached
-    on the structure)."""
+    on the structure).  A table entry is read as its symbol and the elements
+    at its positions, a function's value at the last one.  Each of three
+    rounds walks the entries once and gives every element an entry mentions
+    the feature (symbol, positions of the element, colors at all positions)."""
     cached = m.__dict__.get("_invariants")
     if cached is not None:
         return cached
-    inv = {s: {a: (0,) for a in m.carrier(s)} for s in m.signature.sorts}
+    sig = m.signature
+    elems = [(s, a) for s in sig.sorts for a in m.carrier(s)]
+    number = {e: i for i, e in enumerate(elems)}
+    entries = [(f.name, tuple(map(number.get, zip((*f.arg_sorts, f.result),
+                                                  (*args, val)))))
+               for f in sig.functions for args, val in m.func_table(f.name).items()]
+    entries += [(r.name, tuple(map(number.get, zip(r.arg_sorts, args))))
+                for r in sig.relations for args in m.rel_table(r.name)]
+    color = [0] * len(elems)
     for _ in range(3):
-        new = {s: {} for s in m.signature.sorts}
-        for s in m.signature.sorts:
-            for a in m.carrier(s):
-                feats = []
-                for f in m.signature.functions:
-                    for args, val in sorted(m.func_table(f.name).items()):
-                        positions = tuple(i for i, x in enumerate(args) if x == a)
-                        if positions or val == a:
-                            feats.append((f.name, positions, val == a,
-                                          tuple(inv[t][x] for x, t in
-                                                zip(args, f.arg_sorts)),
-                                          inv[f.result][val]))
-                for r in m.signature.relations:
-                    for args in sorted(m.rel_table(r.name)):
-                        positions = tuple(i for i, x in enumerate(args) if x == a)
-                        if positions:
-                            feats.append((r.name, positions,
-                                          tuple(inv[t][x] for x, t in
-                                                zip(args, r.arg_sorts))))
-                new[s][a] = (inv[s][a], tuple(sorted(map(repr, feats))))
+        feats: list[list] = [[] for _ in elems]
+        for sym, ids in entries:
+            colors = tuple(color[i] for i in ids)
+            for e in set(ids):
+                where = tuple(k for k, i in enumerate(ids) if i == e)
+                feats[e].append((sym, where, colors))
+        new = [(c, tuple(sorted(fs))) for c, fs in zip(color, feats)]
         # compress colors to ints canonically, so that isomorphic structures
         # get identical palettes
-        palette = {c: i for i, c in enumerate(
-            sorted({c for s in m.signature.sorts
-                    for c in new[s].values()}, key=repr))}
-        for s in m.signature.sorts:
-            for a in m.carrier(s):
-                new[s][a] = (palette[new[s][a]],)
-        inv = new
+        palette = {c: i for i, c in enumerate(sorted(set(new)))}
+        color = [palette[c] for c in new]
+    inv: dict[str, dict[str, int]] = {s: {} for s in sig.sorts}
+    for (s, a), c in zip(elems, color):
+        inv[s][a] = c
     object.__setattr__(m, "_invariants", inv)
     return inv
 
@@ -290,8 +286,7 @@ def _pool_growth_witnesses(closure: ModelUniverse, r_added, pool,
         return ()
     max_pool = max(n.size() for n in pool)
     candidates = itertools.chain(
-        _products(closure.theory.signature, closure.models, arity_cap,
-                  max_pool + 1),
+        _products(closure.theory.signature, closure.models, arity_cap, max_pool),
         _closed_submodels(m for m in closure.models if m.name in r_added))
     reached = _index(m for _, m in candidates if m is not None)
     return tuple(n.name for n in missing if _has_iso(reached, n))

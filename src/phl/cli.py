@@ -2,8 +2,9 @@
 birkhoff, fmt.
 
 Exit codes: 0 success / Proved / true; 1 Refuted / false (witness printed);
-2 Unknown (budget); 10 usage errors; 11 parse or well-formedness errors;
-12 missing files.  `--json` emits a stable machine-readable report.
+2 Unknown (budget); 10 usage errors; 11 parse or well-formedness errors and
+input that is not UTF-8 text; 12 missing files and paths that are not
+regular files.  `--json` emits a stable machine-readable report.
 
 Each subcommand imports the engine modules it runs when it is called, so a
 fresh process loads only those.
@@ -45,9 +46,12 @@ class _UsageError(Exception):
 
 def _read(path) -> str:
     p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(path)
-    return p.read_text()
+    if not p.is_file():
+        raise FileNotFoundError(f"{path} is not a regular file" if p.exists() else path)
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise PhlError(f"{path} is not UTF-8 text (byte {e.start})") from None
 
 
 def _load(found: dict, kind: str, path, parse):

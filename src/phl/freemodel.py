@@ -143,15 +143,13 @@ class TermGraph:
         return self.vars[name]
 
     def lookup(self, term: Term, env: dict[str, int]) -> int | None:
-        """Class of a term over an environment, without creating nodes: the
-        class c at which `term = y` holds, for a variable y named "" so that
-        it is fresh."""
-        run = _compiled(flatten((*env, ""), Eq(term, Var(""))), len(env) + 1,
-                        self.sig)
-        combo = [self.find(env[n]) for n in env]
-        return next((c for c, p in enumerate(self.parent)
-                     if p == c and run(self, (*combo, c), None, None) is not None),
-                    None)
+        """Class of a term over an environment, read bottom-up from the table
+        without creating nodes; None when some subterm has no node."""
+        if isinstance(term, Var):
+            return self.find(env[term.name])
+        kids = tuple(self.lookup(t, env) for t in term.args)
+        i = None if None in kids else self.table.get((term.func, kids))
+        return None if i is None else self.find(i)
 
     def stamp(self) -> tuple[int, int, int]:
         return (len(self.parent), self.n_classes, len(self.facts))

@@ -7,6 +7,7 @@ here is pure.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -365,48 +366,28 @@ def _pack(tup) -> str:
 
 def product(sig: Signature, factors, cap: int = PRODUCT_CAP,
             name: str | None = None) -> PartialStructure:
-    """Product structure; the empty product is the terminal structure."""
+    """Product structure: each table entry is one entry from each factor's
+    table.  The empty product is the terminal structure, whose tables are
+    total over the empty tuples."""
     factors = list(factors)
-    total = 1
-    for s in sig.sorts:
-        n = 1
-        for m in factors:
-            n *= len(m.carrier(s))
-        total += n
-        if total > cap:
-            raise SemanticsError(f"product carrier would exceed cap {cap}")
-    carriers = {}
-    elem_tuples = {}
-    for s in sig.sorts:
-        tuples = list(itertools.product(*(m.carrier(s) for m in factors)))
-        elem_tuples[s] = tuples
-        carriers[s] = tuple(_pack(t) for t in tuples)
-    funcs: dict[str, dict[tuple[str, ...], str]] = {}
+    if sum(math.prod(len(m.carrier(s)) for m in factors) for s in sig.sorts) > cap:
+        raise SemanticsError(f"product carrier would exceed cap {cap}")
+
+    def pack(rows, arity):
+        """The product tuple of one argument tuple per factor."""
+        return tuple(_pack([row[i] for row in rows]) for i in range(arity))
+
+    carriers = {s: tuple(map(_pack, itertools.product(*(m.carrier(s) for m in factors))))
+                for s in sig.sorts}
+    funcs = {}
     for f in sig.functions:
-        table: dict[tuple[str, ...], str] = {}
-        arg_spaces = [elem_tuples[s] for s in f.arg_sorts]
-        for args in itertools.product(*arg_spaces):
-            vals = []
-            for i, m in enumerate(factors):
-                component = tuple(a[i] for a in args)
-                v = m.func_table(f.name).get(component, UNDEF)
-                if v is UNDEF:
-                    break
-                vals.append(v)
-            else:
-                # empty product: the loop over factors is vacuous, which makes
-                # the terminal's tables total
-                table[tuple(_pack(a) for a in args)] = _pack(tuple(vals))
-        funcs[f.name] = table
-    rels: dict[str, frozenset] = {}
+        entries = itertools.product(*(m.func_table(f.name).items() for m in factors))
+        funcs[f.name] = {pack([a for a, _ in es], len(f.arg_sorts)):
+                         _pack([v for _, v in es]) for es in entries}
+    rels = {}
     for r in sig.relations:
-        rows = set()
-        arg_spaces = [elem_tuples[s] for s in r.arg_sorts]
-        for args in itertools.product(*arg_spaces):
-            if all(tuple(a[i] for a in args) in factors[i].rel_table(r.name)
-                   for i in range(len(factors))):
-                rows.add(tuple(_pack(a) for a in args))
-        rels[r.name] = frozenset(rows)
+        entries = itertools.product(*(m.rel_table(r.name) for m in factors))
+        rels[r.name] = frozenset(pack(rows, len(r.arg_sorts)) for rows in entries)
     pname = name or ("1" if not factors else "x".join(m.name for m in factors))
     return PartialStructure(pname, sig, carriers, funcs, rels)
 
@@ -438,7 +419,7 @@ def _diagram_diagnostics(d: ChainDiagram) -> list[str]:
         if not d.leq(i, i):
             out.append(f"order not reflexive at {i}")
     for i, j in d.order:
-        if i != j and d.leq(j, i):
+        if i < j and d.leq(j, i):
             out.append(f"order not antisymmetric on {i},{j}")
         if i != j and (i, j) not in d.arrows:
             out.append(f"missing arrow {i} -> {j}")

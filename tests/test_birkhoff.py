@@ -331,6 +331,12 @@ class TestClosureOperators:
         assert 1 in sizes        # the empty product
         assert any("x" in name for name in rep.added)
 
+    def test_close_P_adds_a_product_of_the_cap_size(self, pos, chain2):
+        _, rep = close_P(ModelUniverse(pos, [chain2], size_cap=4), 2)
+        assert "chain2xchain2" in rep.added and rep.skipped == ()
+        _, rep = close_P(ModelUniverse(pos, [chain2], size_cap=3), 2)
+        assert rep.skipped == ("chain2xchain2",)
+
     def test_close_Scl_monoid(self, mon, z4):
         u = ModelUniverse(mon, [z4])
         out, rep = close_Scl(u)

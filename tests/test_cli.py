@@ -570,3 +570,33 @@ class TestJsonDeterminism:
         assert out1 == out2
         payload = json.loads(out1)
         assert payload["verdict"] == "Refuted"
+
+
+class TestUnreadableInput:
+    """A path that is not a regular file exits 12 and one that is not UTF-8
+    text exits 11, each with a message that names it."""
+
+    def test_check_on_a_directory(self, files, capsys):
+        code, out, err = run(capsys, "check", files / "pos.phl", files)
+        assert (code, out) == (12, "")
+        assert err == f"missing file: {files} is not a regular file\n"
+
+    def test_translate_a_directory(self, files, capsys):
+        code, out, err = run(capsys, "translate", files)
+        assert (code, out) == (12, "")
+        assert err == f"missing file: {files} is not a regular file\n"
+
+    def test_pool_entry_that_is_a_directory(self, files, capsys, tmp_path):
+        pool = tmp_path / "pool"
+        (pool / "x.model").mkdir(parents=True)
+        code, out, err = run(capsys, "birkhoff", files / "pos.phl",
+                             "--pool", pool, "--judgments", files / "pos.phl")
+        assert (code, out) == (12, "")
+        assert err == f"missing file: {pool / 'x.model'} is not a regular file\n"
+
+    def test_input_that_is_not_utf8(self, files, capsys):
+        bad = files / "latin1.model"
+        bad.write_bytes(CHAIN2.replace("chain2", "ch\xe4in").encode("latin-1"))
+        code, out, err = run(capsys, "check", files / "pos.phl", bad)
+        assert (code, out) == (11, "")
+        assert err == f"error: {bad} is not UTF-8 text (byte 8)\n"

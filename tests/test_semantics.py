@@ -189,6 +189,11 @@ class TestProduct:
         with pytest.raises(SemanticsError):
             product(pos.signature, [chain3] * 8, cap=100)
 
+    def test_size_cap_admits_a_product_of_the_cap_size(self, pos, chain2):
+        assert product(pos.signature, [chain2] * 2, cap=4).size() == 4
+        with pytest.raises(SemanticsError, match="exceed cap 3"):
+            product(pos.signature, [chain2] * 2, cap=3)
+
 
 class TestChainColimit:
     def inclusion(self, small, big):
@@ -266,6 +271,45 @@ class TestChainColimit:
                                      "r", c2, c1, {"*": {"a": "a", "b": "a"}})})
         with pytest.raises(SemanticsError,
                            match=r"^bad diagram: arrow 1 -> 0 is outside the order$"):
+            chain_colimit(pos_theory(), d)
+
+    def test_order_not_antisymmetric_reported_once(self, pos):
+        c1 = chain_poset(1)
+        same = Homomorphism("i", c1, c1, {"*": {"a": "a"}})
+        d = ChainDiagram(order=(("0", "0"), ("1", "1"), ("0", "1"), ("1", "0")),
+                         stages={"0": c1, "1": c1},
+                         arrows={("0", "1"): same, ("1", "0"): same})
+        with pytest.raises(SemanticsError,
+                           match=r"^bad diagram: order not antisymmetric on 0,1$"):
+            chain_colimit(pos_theory(), d)
+
+    def test_order_not_reflexive_rejected(self, pos):
+        d = ChainDiagram(order=(), stages={"0": chain_poset(1)}, arrows={})
+        with pytest.raises(SemanticsError,
+                           match=r"^bad diagram: order not reflexive at 0;"):
+            chain_colimit(pos_theory(), d)
+
+    def test_poset_not_directed_rejected(self, pos):
+        d = ChainDiagram(order=(("0", "0"), ("1", "1")),
+                         stages={"0": chain_poset(1), "1": chain_poset(2)},
+                         arrows={})
+        with pytest.raises(SemanticsError,
+                           match=r"^bad diagram: poset not directed at 0,1$"):
+            chain_colimit(pos_theory(), d)
+
+    @pytest.mark.parametrize("first, maps, problem", [
+        (2, {"a": "b", "b": "a"}, "is not a homomorphism"),
+        (1, {"a": "a", "b": "b"}, "has wrong endpoints"),
+    ])
+    def test_bad_arrow_rejected(self, pos, first, maps, problem):
+        """An arrow 0 -> 1 from chain2 to chain2, between stages chain`first`
+        and chain2."""
+        c2 = chain_poset(2)
+        d = ChainDiagram(order=(("0", "0"), ("1", "1"), ("0", "1")),
+                         stages={"0": chain_poset(first), "1": c2},
+                         arrows={("0", "1"): Homomorphism("h", c2, c2, {"*": maps})})
+        with pytest.raises(SemanticsError,
+                           match=rf"^bad diagram: arrow 0 -> 1 {problem}$"):
             chain_colimit(pos_theory(), d)
 
     def test_order_not_transitive_rejected(self, pos):

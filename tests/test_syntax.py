@@ -137,6 +137,48 @@ class TestParser:
         assert isinstance(f, Conj)
 
 
+HOM_DOCS = ["hom collapse : chain2 -> chain2\nmap *: a->b b->b;\n"]
+MORPHISM_DOCS = [
+    "morphism emb : quiv -> quiv\nsort e => e;\nsort v => v;\n"
+    "fun s => [f:e] s(f);\nfun t => [f:e] t(f);\n",
+    "morphism op : pos -> pos\nsort * => *;\nrel leq => [x:*, y:*] leq(y,x);\n",
+]
+SKETCH_DOCS = [
+    "sketch prodsk\nobjects: s1 s2 v;\n"
+    "arrow iv : v -> v;  arrow i1 : s1 -> s1;  arrow i2 : s2 -> s2;\n"
+    "arrow p0 : v -> s1;\narrow p1 : v -> s2;\n"
+    "identity v = iv; identity s1 = i1; identity s2 = i2;\n"
+    "compose i1 i1 = i1; compose i2 i2 = i2; compose iv iv = iv;\n"
+    "product-cone v [p0 p1];\n",
+    "sketch pbsk\nobjects: s0 s1 t w;\n"
+    "arrow iw : w -> w; arrow i0 : s0 -> s0; arrow i1 : s1 -> s1; arrow it : t -> t;\n"
+    "arrow r0 : s0 -> t;\narrow r1 : s1 -> t;\narrow q0 : w -> s0;\n"
+    "arrow q1 : w -> s1;\narrow m : w -> t;\n"
+    "identity w = iw; identity s0 = i0; identity s1 = i1; identity t = it;\n"
+    "compose i0 i0 = i0; compose i1 i1 = i1; compose it it = it; compose iw iw = iw;\n"
+    "compose r0 q0 = m; compose r1 q1 = m;\n"
+    "compose it r0 = r0; compose it r1 = r1; compose it m = m;\n"
+    "pullback-cone w [q0 q1] over [r0 r1];\n",
+]
+DERIVATION_DOCS = [
+    '[x:*, y:*] leq(x, y) |- def(x)  [rule Cut {}]\n'
+    '  [x:*, y:*] leq(x, y) |- true  [rule IConj {"ctx": "[x:*, y:*]", '
+    '"premise": "leq(x, y)"}]\n'
+    '  [x:*, y:*] true |- def(x)  [rule Refl {"ctx": "[x:*, y:*]", "i": 0}]\n',
+    '[x:*] true |- leq(x, x)  [rule Subst {"sub": {"x": "x"}, "target": "[x:*]"}]\n'
+    '  [x:*] true |- leq(x, x)  [rule Axiom {"name": "refl"}]\n',
+]
+
+
+def mutated(docs):
+    """Valid documents with one span replaced by arbitrary text."""
+    def splice(doc, i, j, junk):
+        i, j = sorted((i, j))
+        return doc[:i] + junk + doc[j:]
+    return st.builds(splice, st.sampled_from(docs), st.integers(0, 400),
+                     st.integers(0, 400), st.text(max_size=12))
+
+
 class TestParserTotality:
     """Arbitrary input must fail through PhlError subclasses only, so the
     CLI exit-code contract holds."""
@@ -166,6 +208,48 @@ class TestParserTotality:
         from phl.syntax import PhlError
         try:
             parse_model(text, pos.signature)
+        except PhlError:
+            pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.text(max_size=80), mutated(HOM_DOCS)))
+    def test_parse_hom_total(self, text):
+        from phl.semantics import parse_hom
+        from phl.syntax import PhlError
+        from phl.theories import chain_poset
+        try:
+            parse_hom(text, {"chain2": chain_poset(2)})
+        except PhlError:
+            pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.text(max_size=80), mutated(MORPHISM_DOCS)))
+    def test_parse_morphism_total(self, pos, text):
+        from phl.syntax import PhlError
+        from phl.theories import quiver_theory
+        from phl.translation import parse_morphism
+        try:
+            parse_morphism(text, {"pos": pos, "quiv": quiver_theory()})
+        except PhlError:
+            pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.text(max_size=80), mutated(SKETCH_DOCS)))
+    def test_parse_sketch_total(self, text):
+        from phl.syntax import PhlError
+        from phl.translation import parse_sketch
+        try:
+            parse_sketch(text)
+        except PhlError:
+            pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.text(max_size=80), mutated(DERIVATION_DOCS)))
+    def test_parse_derivation_total(self, pos, text):
+        from phl.prover import parse_derivation
+        from phl.syntax import PhlError
+        try:
+            parse_derivation(text, pos.signature)
         except PhlError:
             pass
 

@@ -616,3 +616,68 @@ class TestMorphismFormat:
         assert print_morphism(rho) == text
         out = U_rho(rho, chain2)
         assert out.rel_table("leq") == {("a", "a"), ("b", "a"), ("b", "b")}
+
+
+# (product cones, pullback cones, the problem reported) over the category
+# with objects v, s and one arrow p : v -> s
+BAD_CONES = {
+    "unknown vertex": ([ProductCone("z", ())], [], "cone vertex 'z' unknown"),
+    "unknown leg": ([ProductCone("v", ("q",))], [], "bad product leg 'q'"),
+    "leg from elsewhere": ([ProductCone("s", ("p",))], [], "bad product leg 'p'"),
+    "pullback over unknown arrows": (
+        [], [PullbackCone("v", ("p", "q"), ("is", "is"))],
+        "pullback cone mentions unknown arrows"),
+    "pullback legs elsewhere": (
+        [], [PullbackCone("s", ("p", "p"), ("is", "is"))],
+        "pullback legs must start at 's'"),
+    "ill-typed pullback": (
+        [], [PullbackCone("v", ("p", "p"), ("iv", "iv"))],
+        "ill-typed pullback cone"),
+}
+
+
+class TestValidatorDiagnostics:
+    @pytest.mark.parametrize("case", BAD_CONES)
+    def test_sketch_cones(self, case):
+        products, pullbacks, problem = BAD_CONES[case]
+        objects, arrows, identities, compose = category_case(
+            ("v", "s"), {"p": ("v", "s")}, {})
+        with pytest.raises(TranslationError) as err:
+            make_sketch("bad", objects,
+                        [SketchArrow(n, s, t) for n, (s, t) in arrows.items()],
+                        compose, identities, products, pullbacks)
+        assert str(err.value) == "bad sketch 'bad': " + problem
+
+    @pytest.mark.parametrize("sort_map, func_map, problem", [
+        ({"*": "w"}, {}, "sort '*' mapped to unknown 'w'"),
+        ({"*": "*"}, {"e": FuncAssignment((), App("e", ()))},
+         "unmapped function 'mul'"),
+        ({"*": "*"}, {"e": FuncAssignment((), App("e", ())),
+                      "mul": FuncAssignment(("a",), Var("a"))},
+         "assignment for 'mul' has wrong parameter count"),
+    ], ids=["unknown sort", "unmapped function", "parameter count"])
+    def test_morphism(self, sort_map, func_map, problem):
+        with pytest.raises(TranslationError) as err:
+            make_theory_morphism("m", mon_theory(), mon_theory(), sort_map,
+                                 func_map, {})
+        assert str(err.value) == "bad theory morphism 'm': " + problem
+
+    def test_ill_sorted_morphism_assignment(self):
+        with pytest.raises(TranslationError) as err:
+            make_theory_morphism(
+                "qc", quiver_theory(), cat_theory(), {"e": "mor", "v": "ob"},
+                {"s": FuncAssignment(("f",), Var("f")),
+                 "t": FuncAssignment(("f",), App("c", (Var("f"),)))}, {})
+        assert str(err.value) == \
+            "bad theory morphism 'qc': assignment for 's' has sort mor, expected ob"
+
+    @pytest.mark.parametrize("op, problem", [
+        (RelOperator("mul", Context((("x", "*"),)), TRUE, "*"),
+         "operator 'mul' clashes with a base symbol"),
+        (RelOperator("join", Context((("x", "*"),)), TRUE, "w"),
+         "operator 'join' has unknown type 'w'"),
+    ], ids=["name clash", "unknown result sort"])
+    def test_relative_theory_operator(self, op, problem):
+        with pytest.raises(TranslationError) as err:
+            make_relative_theory(mon_theory(), [op], [])
+        assert str(err.value) == "bad relative theory: " + problem
