@@ -25,21 +25,15 @@ class BirkhoffError(PhlError):
 
 def _element_invariants(m: PartialStructure) -> dict[str, dict[str, int]]:
     """Iteratively refined isomorphism-invariant colors per element (cached
-    on the structure).  A table entry is read as its symbol and the elements
-    at its positions, a function's value at the last one.  Each of three
-    rounds walks the entries once and gives every element an entry mentions
-    the feature (symbol, positions of the element, colors at all positions)."""
+    on the structure), over the table entries of the structure's view.  Each
+    of three rounds walks the entries once and gives every element an entry
+    mentions the feature (symbol, positions of the element, colors at all
+    positions)."""
     cached = m.__dict__.get("_invariants")
     if cached is not None:
         return cached
-    sig = m.signature
-    elems = [(s, a) for s in sig.sorts for a in m.carrier(s)]
-    number = {e: i for i, e in enumerate(elems)}
-    entries = [(f.name, tuple(map(number.get, zip((*f.arg_sorts, f.result),
-                                                  (*args, val)))))
-               for f in sig.functions for args, val in m.func_table(f.name).items()]
-    entries += [(r.name, tuple(map(number.get, zip(r.arg_sorts, args))))
-                for r in sig.relations for args in m.rel_table(r.name)]
+    elems = m.view.elems
+    entries = m.view.funcs + m.view.rels
     color = [0] * len(elems)
     for _ in range(3):
         feats: list[list] = [[] for _ in elems]
@@ -53,7 +47,7 @@ def _element_invariants(m: PartialStructure) -> dict[str, dict[str, int]]:
         # get identical palettes
         palette = {c: i for i, c in enumerate(sorted(set(new)))}
         color = [palette[c] for c in new]
-    inv: dict[str, dict[str, int]] = {s: {} for s in sig.sorts}
+    inv: dict[str, dict[str, int]] = {s: {} for s in m.signature.sorts}
     for (s, a), c in zip(elems, color):
         inv[s][a] = c
     object.__setattr__(m, "_invariants", inv)

@@ -8,7 +8,7 @@ from typing import Callable
 
 from .semantics import (
     Homomorphism, PartialStructure, check_hom, compose_homs, enumerate_homs,
-    exists_hom, hom_image, partial_hom_ok,
+    exists_hom, hom_image,
 )
 from .syntax import PhlError
 
@@ -29,23 +29,23 @@ def is_surjective(h: Homomorphism) -> bool:
 
 def is_closed_mono(h: Homomorphism) -> bool:
     """A monomorphism reflecting definedness of functions and membership of
-    relations on tuples from the source: the inverse of h, a partial map
-    from the target back to the source, preserves every table entry of the
-    target whose arguments lie in the image."""
+    relations on tuples from the source: the image of h (as large as the
+    source) is closed, and the inverse of h is a hom from it to the source."""
     if not check_hom(h):
         raise MorphologyError("not a homomorphism")
     if not is_injective(h):
         raise MorphologyError("not a monomorphism")
-    inverse = {s: {v: k for k, v in h.maps[s].items()}
+    sub, _ = closed_submodel_generated(h.target, hom_image(h))
+    inverse = {s: {b: {a} for a, b in h.maps[s].items()}
                for s in h.source.signature.sorts}
-    return partial_hom_ok(h.target, h.source, inverse)
+    return sub.size() == h.source.size() and \
+        exists_hom(sub, h.source, restrict=inverse) is not None
 
 
 class _ClosureIndex:
     """The subsets of b as ints, closed under its function tables.
 
-    Element i of b, counted over the sorts in signature order and each
-    carrier in order, is bit n-1-i, so the first element is the most
+    Element i of b's view is bit n-1-i, so the first element is the most
     significant bit and counting 0 .. 2^n - 1 visits the subsets in the
     order of `itertools.product([False, True], repeat=n)`.  Each function
     entry is kept with the mask of its arguments and the bit of its value,
@@ -54,8 +54,8 @@ class _ClosureIndex:
     def __init__(self, b: PartialStructure):
         sig = b.signature
         self.b = b
-        elems = [(s, a) for s in sig.sorts for a in b.carrier(s)]
-        self.bit = {e: 1 << (len(elems) - 1 - i) for i, e in enumerate(elems)}
+        top = len(b.view.elems) - 1
+        self.bit = {e: 1 << (top - i) for i, e in enumerate(b.view.elems)}
 
         def args_mask(args, sorts):
             mask = 0

@@ -9,7 +9,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .syntax import (
     EQ, REL, App, Context, Eq, FuncDecl, PhlError, Sequent, Signature, Theory,
@@ -24,6 +25,15 @@ class SemanticsError(PhlError):
     pass
 
 
+class ElementView(NamedTuple):
+    """A structure's elements numbered by sort in signature order, then by
+    carrier order, and its table entries as symbol and element numbers, a
+    function's value last."""
+    elems: tuple[tuple[str, str], ...]      # (sort, element) by number
+    funcs: tuple[tuple[str, tuple[int, ...]], ...]
+    rels: tuple[tuple[str, tuple[int, ...]], ...]
+
+
 @dataclass(frozen=True)
 class PartialStructure:
     name: str
@@ -31,6 +41,18 @@ class PartialStructure:
     carriers: dict[str, tuple[str, ...]]
     funcs: dict[str, dict[tuple[str, ...], str]]
     rels: dict[str, frozenset[tuple[str, ...]]]
+
+    @cached_property
+    def view(self) -> ElementView:
+        sig = self.signature
+        elems = tuple((s, a) for s in sig.sorts for a in self.carrier(s))
+        number = {e: i for i, e in enumerate(elems)}
+        funcs = tuple((f.name, tuple(map(number.get, zip((*f.arg_sorts, f.result),
+                                                         (*args, val)))))
+                      for f in sig.functions for args, val in self.func_table(f.name).items())
+        rels = tuple((r.name, tuple(map(number.get, zip(r.arg_sorts, args))))
+                     for r in sig.relations for args in self.rel_table(r.name))
+        return ElementView(elems, funcs, rels)
 
     def carrier(self, sort: str) -> tuple[str, ...]:
         return self.carriers.get(sort, ())
@@ -252,16 +274,14 @@ class Homomorphism:
 
 
 def check_hom(h: Homomorphism) -> bool:
-    m, n = h.source, h.target
-    if m.signature != n.signature:
-        return False
+    """Whether h maps each source carrier and preserves every table entry:
+    the hom search with every element pinned to its image."""
+    m = h.source
     maps = {s: h.maps.get(s, {}) for s in m.signature.sorts}
-    for s, table in maps.items():
-        if set(table) != set(m.carrier(s)):
-            return False
-        if not set(table.values()) <= set(n.carrier(s)):
-            return False
-    return partial_hom_ok(m, n, maps)
+    if any(set(t) != set(m.carrier(s)) for s, t in maps.items()):
+        return False
+    pinned = {s: {a: {b} for a, b in t.items()} for s, t in maps.items()}
+    return exists_hom(m, h.target, restrict=pinned) is not None
 
 
 def identity_hom(m: PartialStructure) -> Homomorphism:
@@ -277,67 +297,61 @@ def compose_homs(g: Homomorphism, f: Homomorphism) -> Homomorphism:
     return Homomorphism(f"{g.name}.{f.name}", f.source, g.target, maps)
 
 
-def partial_hom_ok(m: PartialStructure, n: PartialStructure,
-                   maps: dict[str, dict[str, str]]) -> bool:
-    """Whether a partial element map m -> n preserves every table entry of m
-    whose arguments it already maps."""
-    for f in m.signature.functions:
-        target = n.func_table(f.name)
-        res = maps[f.result]
-        for args, val in m.func_table(f.name).items():
-            if all(a in maps[s] for a, s in zip(args, f.arg_sorts)):
-                want = target.get(tuple(maps[s][a] for a, s in zip(args, f.arg_sorts)))
-                if want is None or (val in res and res[val] != want):
-                    return False
-    for r in m.signature.relations:
-        target = n.rel_table(r.name)
-        for args in m.rel_table(r.name):
-            if all(a in maps[s] for a, s in zip(args, r.arg_sorts)):
-                if tuple(maps[s][a] for a, s in zip(args, r.arg_sorts)) not in target:
-                    return False
-    return True
-
-
 def iter_homs(m: PartialStructure, n: PartialStructure,
               restrict: dict[str, dict[str, set[str]]] | None = None,
               injective: bool = False):
-    """Homomorphisms m -> n by backtracking over element assignments with
-    incremental preservation checks.  `restrict` optionally limits the
-    permitted values of individual elements; `injective` skips a value
-    already used in the same sort, so only injective homs are built, in the
-    order the search without it yields them."""
+    """Homomorphisms m -> n by backtracking over the elements of m in view
+    order, checking each table entry of m once, as soon as its image is
+    decided.  `restrict` optionally limits the permitted values of
+    individual elements; `injective` skips a value already used in the same
+    sort, so only injective homs are built, in the order the search without
+    it yields them."""
     if m.signature != n.signature:
         return
-    todo = [(s, a) for s in m.signature.sorts for a in m.carrier(s)]
-    for s, _ in todo:
-        if not n.carrier(s):
-            return
-    maps: dict[str, dict[str, str]] = {s: {} for s in m.signature.sorts}
+    view = m.view
+    choices = []
+    for s, a in view.elems:
+        r = None if restrict is None else restrict.get(s, {}).get(a)
+        choices.append([b for b in n.carrier(s) if r is None or b in r])
+    # at[i + 1]: (target table, argument numbers, value number or None for
+    # membership) of each check decided once element i is mapped.  A
+    # function entry's value is decided at the later of its last argument
+    # and its value, its definedness at its last argument.
+    at: list[list] = [[] for _ in range(len(view.elems) + 1)]
+    for f, (*args, v) in view.funcs:
+        last = max(args, default=-1)
+        if v > last:
+            at[last + 1].append((n.func_table(f), args, None))
+        at[max(last, v) + 1].append((n.func_table(f), args, v))
+    for r, args in view.rels:
+        at[max(args, default=-1) + 1].append((n.rel_table(r), args, None))
+    img: list = [None] * len(view.elems)
 
-    count = 0
+    def preserved(checks) -> bool:
+        for table, args, v in checks:
+            im = tuple(img[i] for i in args)
+            if (im not in table) if v is None else (table.get(im) != img[v]):
+                return False
+        return True
+
+    names = (f"h{k}" for k in itertools.count())
 
     def rec(i: int):
-        nonlocal count
-        if i == len(todo):
-            count += 1
-            yield Homomorphism(f"h{count - 1}", m, n,
-                               {s: dict(t) for s, t in maps.items()})
+        if i == len(img):
+            maps: dict[str, dict[str, str]] = {s: {} for s in m.signature.sorts}
+            for (s, a), b in zip(view.elems, img):
+                maps[s][a] = b
+            yield Homomorphism(next(names), m, n, maps)
             return
-        s, a = todo[i]
-        allowed = n.carrier(s)
-        if restrict is not None:
-            r = restrict.get(s, {}).get(a)
-            if r is not None:
-                allowed = [b for b in allowed if b in r]
-        for b in allowed:
-            if injective and b in maps[s].values():
-                continue
-            maps[s][a] = b
-            if partial_hom_ok(m, n, maps):
+        s, a = view.elems[i]
+        used = img[i - m.carrier(s).index(a):i] if injective else ()
+        for b in choices[i]:
+            img[i] = b
+            if b not in used and preserved(at[i + 1]):
                 yield from rec(i + 1)
-            del maps[s][a]
 
-    yield from rec(0)
+    if all(choices) and preserved(at[0]):
+        yield from rec(0)
 
 
 def enumerate_homs(m: PartialStructure, n: PartialStructure) -> list[Homomorphism]:
@@ -834,6 +848,8 @@ def parse_model(text: str, sig: Signature) -> tuple[PartialStructure, str]:
         if ts.at_word("carrier"):
             ts.next()
             sort = _parse_sort_name(ts)
+            if sort in carriers:
+                ts.error(f"carrier {sort} given twice")
             ts.expect("punct", ":")
             elems = []
             while not ts.at("punct", ";"):

@@ -643,6 +643,8 @@ def parse_morphism(text: str, theories: dict[str, Theory]) -> TheoryMorphism:
         if ts.at_word("sort"):
             ts.next()
             a = _parse_sort_name(ts)
+            if a in sort_map:
+                ts.error(f"sort {a} given twice")
             ts.expect("darrow")
             b = _parse_sort_name(ts)
             ts.expect("punct", ";")
@@ -650,6 +652,8 @@ def parse_morphism(text: str, theories: dict[str, Theory]) -> TheoryMorphism:
         elif ts.at_word("fun"):
             ts.next()
             fname = ts.expect("ident").text
+            if fname in func_map:
+                ts.error(f"fun {fname} given twice")
             ts.expect("darrow")
             ctx = parse_context_tokens(ts, tgt.signature)
             term = _parse_term_tokens(ts, tgt.signature, ctx)
@@ -658,6 +662,8 @@ def parse_morphism(text: str, theories: dict[str, Theory]) -> TheoryMorphism:
         elif ts.at_word("rel"):
             ts.next()
             rname = ts.expect("ident").text
+            if rname in rel_map:
+                ts.error(f"rel {rname} given twice")
             ts.expect("darrow")
             ctx = parse_context_tokens(ts, tgt.signature)
             f = _parse_formula_tokens(ts, tgt.signature, ctx)

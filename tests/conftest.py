@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
+from phl.semantics import Homomorphism
 from phl.syntax import App, Eq, RelApp, Var, conj, defined
 from phl.theories import (
     cat_theory, chain_poset, mon_theory, pos_theory, zmod_monoid,
@@ -73,3 +74,62 @@ def formulas_over(sig, ctx, max_atoms=3):
             *[ts] * len(r.arg_sorts)))
     atoms = st.one_of(atom_opts)
     return st.lists(atoms, min_size=0, max_size=max_atoms).map(conj)
+
+
+# ---------------------------------------------------------------------------
+# the hom search that rescans every table entry at every node: the oracle for
+# semantics.iter_homs, check_hom and morphology.is_closed_mono
+
+def partial_hom_ok(m, n, maps) -> bool:
+    """Whether a partial element map m -> n preserves every table entry of m
+    whose arguments it already maps."""
+    for f in m.signature.functions:
+        target = n.func_table(f.name)
+        res = maps[f.result]
+        for args, val in m.func_table(f.name).items():
+            if all(a in maps[s] for a, s in zip(args, f.arg_sorts)):
+                want = target.get(tuple(maps[s][a] for a, s in zip(args, f.arg_sorts)))
+                if want is None or (val in res and res[val] != want):
+                    return False
+    for r in m.signature.relations:
+        target = n.rel_table(r.name)
+        for args in m.rel_table(r.name):
+            if all(a in maps[s] for a, s in zip(args, r.arg_sorts)):
+                if tuple(maps[s][a] for a, s in zip(args, r.arg_sorts)) not in target:
+                    return False
+    return True
+
+
+def reference_iter_homs(m, n, restrict=None, injective=False):
+    """iter_homs as it was before it read the structure's view: one
+    partial_hom_ok call over the whole map at every search node."""
+    if m.signature != n.signature:
+        return
+    todo = [(s, a) for s in m.signature.sorts for a in m.carrier(s)]
+    if any(not n.carrier(s) for s, _ in todo):
+        return
+    maps = {s: {} for s in m.signature.sorts}
+    count = 0
+
+    def rec(i):
+        nonlocal count
+        if i == len(todo):
+            count += 1
+            yield Homomorphism(f"h{count - 1}", m, n,
+                               {s: dict(t) for s, t in maps.items()})
+            return
+        s, a = todo[i]
+        allowed = n.carrier(s)
+        if restrict is not None:
+            r = restrict.get(s, {}).get(a)
+            if r is not None:
+                allowed = [b for b in allowed if b in r]
+        for b in allowed:
+            if injective and b in maps[s].values():
+                continue
+            maps[s][a] = b
+            if partial_hom_ok(m, n, maps):
+                yield from rec(i + 1)
+            del maps[s][a]
+
+    yield from rec(0)

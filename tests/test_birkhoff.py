@@ -13,8 +13,7 @@ from phl.birkhoff import (
 from phl.morphology import closed_submodel_generated
 from phl.semantics import (
     Homomorphism, SemanticsError, check_hom, compose_homs, enumerate_homs,
-    enumerate_models, holds, identity_hom, make_structure, partial_hom_ok,
-    product,
+    enumerate_models, holds, identity_hom, make_structure, product,
 )
 from phl.syntax import NamedAxiom, parse_sequent
 from phl.theories import (
@@ -22,6 +21,8 @@ from phl.theories import (
     preorder_theory, set_theory, zmod_monoid,
 )
 from phl.translation import U_rho_hom, make_theory_morphism
+
+from conftest import partial_hom_ok
 
 
 def two_chain_category():

@@ -103,6 +103,13 @@ class TestCheck:
         code, _, err = run(capsys, "check", bad, files / "chain2.model")
         assert code == 11
 
+    def test_carrier_given_twice_exit_11(self, files, capsys):
+        (files / "dup.model").write_text(CHAIN2 + "carrier *: c;\n")
+        code, out, err = run(capsys, "check", files / "pos.phl",
+                             files / "dup.model")
+        assert (code, out) == (11, "")
+        assert "carrier * given twice" in err
+
 
 class TestProve:
     def test_axiom_proved(self, files, capsys):
@@ -342,6 +349,17 @@ class TestTranslate:
                              "--theory", other / "q.phl")
         assert (code, out) == (11, "")
         assert err == "error: duplicate theory name 'quiv'\n"
+
+    @pytest.mark.parametrize("line, message", [
+        ("sort v => v;", "sort v given twice"),
+        ("fun t => [f:e] s(f);", "fun t given twice"),
+    ])
+    def test_line_given_twice_exit_11(self, files, capsys, line, message):
+        (files / "dup.phlm").write_text(MORPH_SRC + line + "\n")
+        code, out, err = run(capsys, "translate", files / "dup.phlm",
+                             "[f:e] true |- def(s(f))")
+        assert (code, out) == (11, "")
+        assert message in err
 
     def test_unmapped_sort_exit_11(self, files, capsys):
         (files / "gap.phlm").write_text(MORPH_SRC.replace("sort v => v;\n", ""))

@@ -2,6 +2,7 @@
 no separate lint step."""
 import ast
 import functools
+import importlib
 import json
 import os
 import subprocess
@@ -132,3 +133,20 @@ def test_cli_loads_only_the_engine_it_runs(argv, engines):
     out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                          capture_output=True, text=True, check=True, timeout=60)
     assert set(json.loads(out.stdout)) == CLI_BASE | engines
+
+
+def wrapped_names() -> dict[str, tuple[str, ...]]:
+    """The `WRAPPED` table of perfbench/tracing.py, read from its source: the
+    functions of each `phl` module that a traced benchmark run wraps."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and \
+                any(isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py has no WRAPPED table")
+
+
+@pytest.mark.parametrize("layer, names", sorted(wrapped_names().items()))
+def test_traced_functions_exist(layer, names):
+    module = importlib.import_module(f"phl.{layer}")
+    assert [n for n in names if not callable(getattr(module, n, None))] == []

@@ -12,7 +12,8 @@ from phl.morphology import (
 )
 from phl.semantics import (
     Homomorphism, PartialStructure, check_hom, compose_homs, enumerate_homs,
-    enumerate_models, holds, identity_hom, is_model, make_structure, product,
+    enumerate_models, holds, hom_image, identity_hom, is_model, iter_homs,
+    make_structure, product,
 )
 from phl.syntax import parse_formula_in_context, parse_sequent
 from phl.theories import (
@@ -20,6 +21,9 @@ from phl.theories import (
     mon_theory, pos_theory, preorder_theory, set_theory, zmod_monoid,
 )
 from phl.translation import identity_morphism, make_theory_morphism, U_rho_hom
+
+from conftest import partial_hom_ok
+from test_semantics import hom_corpus_with_constructions
 
 
 def incl(small, big, name="i"):
@@ -50,8 +54,7 @@ class TestClosedMono:
 
 
 def loop_check_hom(h):
-    """check_hom as it was before it called partial_hom_ok: a loop over every
-    table entry of the source."""
+    """check_hom as a loop over every table entry of the source."""
     m, n = h.source, h.target
     if m.signature != n.signature:
         return False
@@ -76,8 +79,7 @@ def loop_check_hom(h):
 
 
 def loop_is_closed_mono(h):
-    """is_closed_mono as it was before it called partial_hom_ok: a loop over
-    every argument tuple of the source."""
+    """is_closed_mono as a loop over every argument tuple of the source."""
     if not loop_check_hom(h):
         raise MorphologyError("not a homomorphism")
     if not is_injective(h):
@@ -133,9 +135,9 @@ def element_maps(m, n):
 
 
 class TestAgainstLoopOracles:
-    """check_hom and is_closed_mono run partial_hom_ok; they must agree with
-    the table loops they replaced on every element map between small
-    structures, partial ones included."""
+    """check_hom and is_closed_mono run the hom search with every element
+    pinned; they must agree with the table loops on every element map
+    between small structures, partial ones included."""
 
     def families(self):
         yield list(enumerate_models(pos_theory(), 2))
@@ -169,6 +171,73 @@ class TestAgainstLoopOracles:
         empty = make_structure("empty", cat.signature, {})
         h = Homomorphism("h", empty, empty, {"ob": {}})
         assert check_hom(h) and loop_check_hom(h)
+
+
+def induced_substructure(m, keep):
+    """The substructure of m on the (sort, element) pairs in keep, with the
+    table entries that lie inside it; it need not be closed in m."""
+    sig = m.signature
+
+    def inside(sorts, elems):
+        return all((s, a) in keep for s, a in zip(sorts, elems))
+
+    carriers = {s: [a for a in m.carrier(s) if (s, a) in keep] for s in sig.sorts}
+    funcs = {f.name: {args: val for args, val in m.func_table(f.name).items()
+                      if inside((*f.arg_sorts, f.result), (*args, val))}
+             for f in sig.functions}
+    rels = {r.name: {args for args in m.rel_table(r.name)
+                     if inside(r.arg_sorts, args)} for r in sig.relations}
+    return make_structure(f"{m.name}_part", sig, carriers, funcs, rels)
+
+
+def random_element_map(rng, m, n):
+    """A sort-respecting map from m to n picked at random, or None when some
+    sort of m has elements and none in n."""
+    sorts = m.signature.sorts
+    if any(m.carrier(s) and not n.carrier(s) for s in sorts):
+        return None
+    return Homomorphism("r", m, n, {s: {a: rng.choice(n.carrier(s))
+                                        for a in m.carrier(s)} for s in sorts})
+
+
+class TestRandomMapsAgainstReferences:
+    """On random element maps between the structures of the hom-search
+    corpora (mostly not homs), their first injective homs, and inclusions
+    of induced substructures that need not be closed, check_hom agrees with
+    the table loop and is_closed_mono with the argument-tuple loop and with
+    partial_hom_ok on the inverse map."""
+
+    @pytest.mark.parametrize("name", ["pos", "preord", "mon", "cat"])
+    def test_random_maps(self, name):
+        rng = random.Random(name)
+        models = hom_corpus_with_constructions(name)
+        cases = []
+        for b in rng.sample(models, 10):
+            keep = {(s, a) for s in b.signature.sorts for a in b.carrier(s)
+                    if rng.random() < 0.6}
+            cases.append(incl(induced_substructure(b, keep), b))
+        for _ in range(300):
+            m, n = rng.choice(models), rng.choice(models)
+            cases.append(random_element_map(rng, m, n))
+            cases += itertools.islice(iter_homs(m, n, injective=True), 2)
+        tally = {"non-hom": 0, "not closed": 0, True: 0, False: 0}
+        for h in filter(None, cases):
+            want = loop_check_hom(h)
+            assert check_hom(h) == want, h.maps
+            if not want:
+                tally["non-hom"] += 1
+            if not (want and is_injective(h)):
+                continue
+            inverse = {s: {b: a for a, b in t.items()} for s, t in h.maps.items()}
+            got = is_closed_mono(h)
+            assert got == loop_is_closed_mono(h) == \
+                partial_hom_ok(h.target, h.source, inverse), h.maps
+            tally[got] += 1
+            image = hom_image(h)
+            sub, _ = closed_submodel_generated(h.target, image)
+            tally["not closed"] += sub.size() > sum(map(len, image.values()))
+        assert tally["non-hom"] and tally[True] and tally[False], tally
+        assert tally["not closed"] or not models[0].signature.functions, tally
 
 
 class TestGeneratedSubmodel:

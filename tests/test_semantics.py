@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phl import semantics
-from phl.morphology import is_injective
+from phl.morphology import closed_submodels, is_injective
 from phl.semantics import (
     ChainDiagram, Homomorphism, HoldsResult, PartialStructure, SemanticsError,
     chain_colimit, check_hom, compose_homs, context_tuples, enumerate_homs,
@@ -27,7 +27,7 @@ from phl.theories import (
     mon_theory, pos_theory, preorder_theory, zmod_monoid,
 )
 
-from conftest import formulas_over
+from conftest import formulas_over, reference_iter_homs
 from test_translation import product_sketch, pullback_sketch
 
 
@@ -122,6 +122,15 @@ class TestHoms:
         assert all(h.maps["*"]["0"] == "0" for h in homs)
         assert {h.maps["*"]["1"] for h in homs} == {"0", "1"}
 
+    def test_empty_source_keeps_its_nullary_facts(self):
+        # no element is ever mapped, so the fact p must be checked up front
+        sig = parse_theory("theory t\nsorts: *;\nrel p : ;\n").signature
+        m = make_structure("m", sig, {}, rels={"p": {()}})
+        n = make_structure("n", sig, {})
+        assert list(semantics.iter_homs(m, n)) == []
+        assert not check_hom(Homomorphism("h", m, n, {"*": {}}))
+        assert [h.maps for h in semantics.iter_homs(n, m)] == [{"*": {}}]
+
 
 def random_restrict(rng, m, n):
     """About half the elements of m limited to a random subset of their
@@ -162,6 +171,49 @@ class TestInjectiveHomSearch:
                         if is_injective(h)]
                 assert got == want, (m.name, n.name, r)
                 found += len(got)
+        assert found
+
+
+def hom_corpus_with_constructions(name):
+    """hom_corpus, with products of two of its non-empty structures of at
+    most two elements and some closed submodels of those products.  For cat
+    the structures have up to two objects and two arrows, and the factors up
+    to three elements."""
+    rng = random.Random(name)
+    if name == "cat":
+        models, most = list(enumerate_models(cat_theory(), 2)), 3
+    else:
+        models, most = hom_corpus(name), 2
+    sig = models[0].signature
+    small = [m for m in models if 0 < m.size() <= most]
+    prods = [product(sig, rng.sample(small, 2)) for _ in range(3)]
+    subs = [sub for p in prods for sub in closed_submodels(p) if sub.size() > 1]
+    return models + prods + rng.sample(subs, min(4, len(subs)))
+
+
+class TestHomSearchAgainstRescan:
+    """iter_homs checks each table entry once, at the element that decides
+    it; the search that rescans the whole map at every node is the oracle.
+    Both must yield the same homs, named alike, in the same order."""
+
+    @pytest.mark.parametrize("name", ["pos", "preord", "mon", "cat"])
+    @pytest.mark.parametrize("injective", [False, True],
+                             ids=["all", "injective"])
+    @pytest.mark.parametrize("restricted", [False, True],
+                             ids=["free", "restricted"])
+    def test_same_homs_in_same_order(self, name, injective, restricted):
+        rng = random.Random(f"{name}-{injective}-{restricted}")
+        structures = hom_corpus_with_constructions(name)
+        pairs = list(itertools.product(structures, repeat=2))
+        found = 0
+        for m, n in rng.sample(pairs, min(300, len(pairs))):
+            r = random_restrict(rng, m, n) if restricted else None
+            got = [(h.name, h.maps)
+                   for h in semantics.iter_homs(m, n, r, injective)]
+            want = [(h.name, h.maps)
+                    for h in reference_iter_homs(m, n, r, injective)]
+            assert got == want, (m.name, n.name, r)
+            found += len(got)
         assert found
 
 
@@ -468,6 +520,11 @@ class TestTextFormats:
     def test_hom_element_mapped_twice(self, chain2, maps):
         with pytest.raises(ParseError, match=r"map \*: element 'a' mapped twice"):
             parse_hom("hom h : chain2 -> chain2\n" + maps, {"chain2": chain2})
+
+    def test_carrier_given_twice(self, pos):
+        text = "model m of pos\ncarrier *: a b;\ncarrier *: c;\n"
+        with pytest.raises(ParseError, match=r"carrier \* given twice"):
+            parse_model(text, pos.signature)
 
     def test_fun_entry_given_twice(self, mon):
         text = ("model m of mon\ncarrier *: a b;\nfun e: () -> a;\n"

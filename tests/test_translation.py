@@ -9,8 +9,9 @@ from phl.semantics import (
     is_model, make_structure, size_profiles,
 )
 from phl.syntax import (
-    App, Conj, Context, Eq, NamedAxiom, RelApp, Sequent, TRUE, Var, conj, defined,
-    parse_formula_in_context, parse_sequent, parse_theory, subst_formula,
+    App, Conj, Context, Eq, NamedAxiom, ParseError, RelApp, Sequent, TRUE, Var,
+    conj, defined, parse_formula_in_context, parse_sequent, parse_theory,
+    subst_formula,
 )
 from phl.theories import (
     cat_theory, mon_theory, pos_theory, quiver_theory, rsrel_theory,
@@ -605,6 +606,16 @@ class TestMorphismFormat:
                                      "cat": cat_theory()})
         assert rho2.sort_map == rho.sort_map
         assert rho2.func_map == rho.func_map
+
+    @pytest.mark.parametrize("line, message", [
+        ("sort * => *;", r"sort \* given twice"),
+        ("rel leq => [x:*, y:*] leq(x, y);", "rel leq given twice"),
+    ])
+    def test_line_given_twice(self, pos, line, message):
+        text = ("morphism op : pos -> pos\nsort * => *;\n"
+                "rel leq => [x:*, y:*] leq(y, x);\n" + line + "\n")
+        with pytest.raises(ParseError, match=message):
+            parse_morphism(text, {"pos": pos})
 
     def test_relation_assignment_roundtrip(self, pos, chain2):
         # leq |-> the opposite order: parse, print back, restrict a model
