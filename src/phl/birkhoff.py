@@ -3,6 +3,7 @@ finite models, definability experiments, and posetification diagnostics.
 """
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable
@@ -149,12 +150,15 @@ class ModelUniverse:
 
     def __post_init__(self):
         for m in self.models:
-            report = is_model(m, self.theory)
-            if not report.ok:
-                raise BirkhoffError(
-                    f"'{m.name}' is not a model: {report.violations}")
+            self._check_model(m)
         self.models = iso_collapse(self.models)
         self.index = _index(self.models)
+
+    def _check_model(self, m: PartialStructure) -> None:
+        report = is_model(m, self.theory)
+        if not report.ok:
+            raise BirkhoffError(
+                f"'{m.name}' is not a model: {report.violations}")
 
     def contains_iso(self, m: PartialStructure) -> bool:
         return _has_iso(self.index, m)
@@ -162,7 +166,9 @@ class ModelUniverse:
     def grow(self, candidates) -> tuple[ModelUniverse, ClosureReport]:
         """The universe plus each (label, structure) candidate that is new up
         to iso, against the members and the earlier candidates; a candidate
-        whose structure is None is reported as skipped."""
+        whose structure is None is reported as skipped.  The members are
+        already pairwise non-isomorphic models, so only the added candidates
+        are checked, and the members come out in `iso_collapse` order."""
         added, skipped = [], []
         new = list(self.models)
         index = _index(new)
@@ -170,10 +176,12 @@ class ModelUniverse:
             if m is None:
                 skipped.append(label)
             elif _add_new(index, m):
+                self._check_model(m)
                 new.append(m)
                 added.append(label)
-        return (ModelUniverse(self.theory, new, self.size_cap),
-                ClosureReport(tuple(added), tuple(skipped)))
+        grown = copy.copy(self)
+        grown.models, grown.index = sorted(new, key=fingerprint), index
+        return grown, ClosureReport(tuple(added), tuple(skipped))
 
 
 def _products(sig, models, arity_cap: int, cap: int):

@@ -200,7 +200,8 @@ def cmd_translate(args) -> int:
     rho = tr.parse_morphism(
         _read_arrow(args.morphism, "morphism", theories, parse_theory), theories)
     if args.check:
-        report = tr.check_theory_morphism(rho, depth=args.depth)
+        report = tr.check_theory_morphism(rho, depth=args.depth,
+                                          model_size=args.model_size)
         payload = {"command": "translate", "morphism": rho.name,
                    "obligations": dict(report.statuses),
                    "accepted": report.accepted}
@@ -316,18 +317,17 @@ def build_parser() -> _Parser:
     p = _Parser(prog="phl", description="finitary partial Horn logic toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(q, depth=True, model_size=False):
+    def common(q, depth=True, model_size=None):
         q.add_argument("--json", action="store_true",
                        help="machine-readable output")
         if depth:
             q.add_argument("-d", "--depth", type=int, default=None,
                            help=f"saturation depth (default {DEFAULT_DEPTH}; "
                                 "PHL_BUDGET_DEPTH overrides)")
-        if model_size:
-            q.add_argument("-k", "--model-size", type=int,
-                           default=DEFAULT_MODEL_SIZE,
+        if model_size is not None:
+            q.add_argument("-k", "--model-size", type=int, default=model_size,
                            help="countermodel size bound per sort "
-                                f"(default {DEFAULT_MODEL_SIZE})")
+                                f"(default {model_size})")
 
     q = sub.add_parser("check", help="check a finite model against a theory")
     q.add_argument("theory")
@@ -340,7 +340,7 @@ def build_parser() -> _Parser:
     q.add_argument("sequent")
     q.add_argument("--elaborate", action="store_true",
                    help="print an explicit derivation tree for small proofs")
-    common(q, model_size=True)
+    common(q, model_size=DEFAULT_MODEL_SIZE)
     q.set_defaults(fn=cmd_prove)
 
     q = sub.add_parser("free", help="saturate a representing model")
@@ -367,7 +367,7 @@ def build_parser() -> _Parser:
                         "are picked up automatically")
     q.add_argument("--check", action="store_true",
                    help="check the morphism's proof obligations")
-    common(q)
+    common(q, model_size=0)
     q.set_defaults(fn=cmd_translate)
 
     q = sub.add_parser("sketch2pht", help="translate a limit sketch to a theory")

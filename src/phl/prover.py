@@ -336,6 +336,24 @@ class UnknownVerdict:
 ProveResult = Proved | Refuted | UnknownVerdict
 
 
+FIRST_SLICE = 16       # the first saturation gets max_work // FIRST_SLICE
+FIRST_MODELS = 64      # models tried between the first and the full saturation
+
+
+def _models(theory: Theory, size: int):
+    """`iter_models`, looked up only when first iterated: a call that
+    searches no model adds no entry to the model cache."""
+    yield from iter_models(theory, size)
+
+
+def _countermodel(models, seq: Sequent) -> Refuted | None:
+    for m in models:
+        for tup in sorted(interp_formula(m, seq.context, seq.premise)):
+            if not formula_holds_at(m, seq.context, seq.conclusion, tup):
+                return Refuted(m, tup, "enumerated countermodel")
+    return None
+
+
 def prove(theory: Theory, seq: Sequent, depth: int = 4, model_size: int = 4,
           max_work: int | None = None) -> ProveResult:
     """Budgeted entailment check.
@@ -346,6 +364,15 @@ def prove(theory: Theory, seq: Sequent, depth: int = 4, model_size: int = 4,
     (the first in `enumerate_models` order, which is enumerated no further);
     Unknown otherwise.  `max_work` bounds the axiom instances saturation
     tries (None selects DEFAULT_WORK_BUDGET; a negative budget raises).
+
+    With `model_size > 0` saturation first gets `max_work // FIRST_SLICE`.
+    A slice that does not run out of budget is final: the full run would
+    take the same steps.  Otherwise, unless the slice reached the goal, the
+    first FIRST_MODELS models are searched for a countermodel; then
+    saturation starts afresh with the whole budget, and the rest of the
+    same model iterator is searched after it.  So no model is enumerated
+    twice, a Proved carries the full run's trace, and the countermodel is
+    the first in enumeration order.
     """
     if depth < 0:
         raise PhlError("depth budget must be >= 0")
@@ -356,9 +383,20 @@ def prove(theory: Theory, seq: Sequent, depth: int = 4, model_size: int = 4,
         raise PhlError("ill-formed sequent: " + "; ".join(map(str, diags)))
     if max_work is None:
         max_work = DEFAULT_WORK_BUDGET
-    g, saturated, exhausted, reached = saturate(theory, seq.context, seq.premise,
-                                                depth, goal=seq.conclusion,
-                                                max_work=max_work)
+    models = _models(theory, model_size)
+
+    def run(work: int):
+        return saturate(theory, seq.context, seq.premise, depth,
+                        goal=seq.conclusion, max_work=work)
+
+    g, saturated, exhausted, reached = run(
+        max_work // FIRST_SLICE if model_size > 0 else max_work)
+    if exhausted and model_size > 0:
+        if not reached:
+            found = _countermodel(itertools.islice(models, FIRST_MODELS), seq)
+            if found is not None:
+                return found
+        g, saturated, exhausted, reached = run(max_work)
     if reached:
         return Proved(tuple(g.trace), SaturationStatus(saturated, depth))
     if saturated:
@@ -367,10 +405,9 @@ def prove(theory: Theory, seq: Sequent, depth: int = 4, model_size: int = 4,
         witness = p.generic_tuple
         return Refuted(p.structure, witness,
                        "generic tuple of the saturated term model")
-    for m in iter_models(theory, model_size):
-        for tup in sorted(interp_formula(m, seq.context, seq.premise)):
-            if not formula_holds_at(m, seq.context, seq.conclusion, tup):
-                return Refuted(m, tup, "enumerated countermodel")
+    found = _countermodel(models, seq)
+    if found is not None:
+        return found
     cause = (f"work budget of {max_work} axiom instances exhausted"
              if exhausted else f"saturation truncated at depth {depth}")
     return UnknownVerdict(f"{cause} and no countermodel with at most "

@@ -725,6 +725,8 @@ def parse_sketch(text: str) -> Sketch:
             ts.next()
             g = ts.expect("ident").text
             f = ts.expect("ident").text
+            if (g, f) in compose:
+                ts.error(f"compose {g} {f} given twice")
             ts.expect("punct", "=")
             h = ts.expect("ident").text
             ts.expect("punct", ";")
@@ -732,6 +734,8 @@ def parse_sketch(text: str) -> Sketch:
         elif ts.at_word("identity"):
             ts.next()
             obj = ts.expect("ident").text
+            if obj in identities:
+                ts.error(f"identity {obj} given twice")
             ts.expect("punct", "=")
             ident = ts.expect("ident").text
             ts.expect("punct", ";")

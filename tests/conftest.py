@@ -133,3 +133,31 @@ def reference_iter_homs(m, n, restrict=None, injective=False):
             del maps[s][a]
 
     yield from rec(0)
+
+
+def prove_saturation_first(theory, seq, depth=4, model_size=4, max_work=None):
+    """prove as it was before the interleaved schedule: one saturation with
+    the whole work budget, then the countermodel search."""
+    from phl import prover
+    from phl.freemodel import ModelPresentation, SaturationStatus, saturate
+    from phl.semantics import formula_holds_at, interp_formula, iter_models
+    if max_work is None:
+        max_work = prover.DEFAULT_WORK_BUDGET
+    g, saturated, exhausted, reached = saturate(
+        theory, seq.context, seq.premise, depth, goal=seq.conclusion,
+        max_work=max_work)
+    if reached:
+        return prover.Proved(tuple(g.trace), SaturationStatus(saturated, depth))
+    if saturated:
+        p = ModelPresentation(theory, seq.context, seq.premise,
+                              SaturationStatus(True, depth), g)
+        return prover.Refuted(p.structure, p.generic_tuple,
+                              "generic tuple of the saturated term model")
+    for m in iter_models(theory, model_size):
+        for tup in sorted(interp_formula(m, seq.context, seq.premise)):
+            if not formula_holds_at(m, seq.context, seq.conclusion, tup):
+                return prover.Refuted(m, tup, "enumerated countermodel")
+    cause = (f"work budget of {max_work} axiom instances exhausted"
+             if exhausted else f"saturation truncated at depth {depth}")
+    return prover.UnknownVerdict(f"{cause} and no countermodel with at most "
+                                 f"{model_size} elements per sort")

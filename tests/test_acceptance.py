@@ -49,9 +49,8 @@ def report(n, text):
     print(f"criterion {n} PASS: {text}")
 
 
-def test_criterion_1_golden_derivations():
-    """Displayed equality and cut-rule trees check; perturbations fail."""
-    t0 = time.perf_counter()
+def golden_corpus():
+    """(theory, derivation) for each golden tree of criterion 1."""
     pos = pos_theory()
     mon = mon_theory()
     sig_pos, sig_mon = pos.signature, mon.signature
@@ -88,7 +87,13 @@ def test_criterion_1_golden_derivations():
     refl = rule_node(AxiomRule("refl"), (), sig_pos, pos)
     golden.append((pos, derive_weakening(
         sig_pos, refl, Context((("x", "*"), ("y", "*"))))))
+    return golden
 
+
+def test_criterion_1_golden_derivations():
+    """Displayed equality and cut-rule trees check; perturbations fail."""
+    t0 = time.perf_counter()
+    golden = golden_corpus()
     for theory, d in golden:
         assert check_derivation(theory, d).ok
 
@@ -112,17 +117,31 @@ def test_criterion_1_golden_derivations():
               f"fail, {elapsed * 1000:.0f} ms")
 
 
+def soundness_corpus(theory, rng):
+    """The 50 sequents criterion 2 draws over `theory`."""
+    return [random_sequent(rng, theory, max_vars=3, max_atoms=2, depth=2)
+            for _ in range(50)]
+
+
+def bridge_corpus(theory, rng):
+    """The 60 sequents criterion 3 draws over `theory`."""
+    return [random_sequent(rng, theory, max_vars=2, max_atoms=2, depth=2)
+            for _ in range(60)]
+
+
+SOUNDNESS_SEED, BRIDGE_SEED = 20260809, 96321
+
+
 def test_criterion_2_soundness_sweep():
     """Proved sequents hold in every enumerated model up to size 3."""
     t0 = time.perf_counter()
-    rng = random.Random(20260809)
+    rng = random.Random(SOUNDNESS_SEED)
     proved_count = 0
     checked = 0
     for theory in (pos_theory(), mon_theory(), cat_theory()):
         models = enumerate_models(theory, 3)
         assert models
-        for i in range(50):
-            seq = random_sequent(rng, theory, max_vars=3, max_atoms=2, depth=2)
+        for seq in soundness_corpus(theory, rng):
             r = prove(theory, seq, depth=3, model_size=0, max_work=40_000)
             if isinstance(r, Proved):
                 proved_count += 1
@@ -140,11 +159,10 @@ def test_criterion_2_soundness_sweep():
 def test_criterion_3_completeness_bridge():
     """prove agrees with generic-tuple membership whenever the premise's
     representing model saturates at depth <= 4."""
-    rng = random.Random(96321)
+    rng = random.Random(BRIDGE_SEED)
     agreements = 0
     for theory in (pos_theory(), mon_theory()):
-        for i in range(60):
-            seq = random_sequent(rng, theory, max_vars=2, max_atoms=2, depth=2)
+        for seq in bridge_corpus(theory, rng):
             p = representing_model(theory, seq.context, seq.premise, 4,
                                    max_work=60_000)
             if not p.status.saturated:

@@ -5,7 +5,8 @@ import pytest
 
 from phl import birkhoff
 from phl.birkhoff import (
-    SUBMODEL_ENUM_CAP, BirkhoffError, ComponentPoset, FiniteCategory,
+    SUBMODEL_ENUM_CAP, BirkhoffError, ClosureReport, ComponentPoset,
+    FiniteCategory,
     ModelUniverse, acc_report, close_P, close_R, close_Scl, component_diagram,
     definability_check, find_iso, hsp_closure, iso_collapse,
     make_finite_category, posetification,
@@ -13,7 +14,7 @@ from phl.birkhoff import (
 from phl.morphology import closed_submodel_generated
 from phl.semantics import (
     Homomorphism, SemanticsError, check_hom, compose_homs, enumerate_homs,
-    enumerate_models, holds, identity_hom, make_structure, product,
+    enumerate_models, holds, identity_hom, is_model, make_structure, product,
 )
 from phl.syntax import NamedAxiom, parse_sequent
 from phl.theories import (
@@ -399,6 +400,33 @@ class TestClosureOperators:
         from phl.theories import cycle_preorder
         with pytest.raises(BirkhoffError):
             ModelUniverse(pos, [cycle_preorder()])
+
+    def test_grow_rejects_a_non_model_candidate(self, pos, chain2):
+        from phl.theories import cycle_preorder
+        u = ModelUniverse(pos, [chain2])
+        with pytest.raises(BirkhoffError, match="'cyc2' is not a model"):
+            u.grow([("one", chain_poset(1, "z")), ("cyc", cycle_preorder())])
+
+    def test_grow_checks_only_the_added_candidates(self, pos, chain2,
+                                                   monkeypatch):
+        u = ModelUniverse(pos, [chain_poset(3), chain2])
+        disc2 = antichain_poset(2)
+        checked = []
+
+        def counting(m, theory):
+            checked.append(m.name)
+            return is_model(m, theory)
+
+        monkeypatch.setattr(birkhoff, "is_model", counting)
+        out, rep = u.grow([("c2", chain_poset(2, "xy")), ("d2", disc2),
+                           ("big", None), ("d2again", antichain_poset(2, "pq"))])
+        assert checked == ["disc2"]
+        assert rep == ClosureReport(("d2",), ("big",))
+        # the members come out as the public constructor orders them
+        assert out.models == ModelUniverse(pos, [chain2, disc2,
+                                                 chain_poset(3)]).models
+        assert out.index == birkhoff._index(out.models)
+        assert out.contains_iso(antichain_poset(2, "uv"))
 
 
 class TestHsp:

@@ -329,6 +329,18 @@ class TestTranslate:
         assert code == 2
         assert json.loads(out)["obligations"] == {"comm": "Unknown"}
 
+    def test_check_with_countermodel_bound_exit_1(self, files, capsys):
+        (files / "cmon.phl").write_text(
+            "theory cmon\nsorts: *\nfun e : -> *;\nfun mul : * * -> *;\n"
+            "axiom comm [x:*, y:*] true |- mul(x,y) = mul(y,x);\n")
+        (files / "forget.phlm").write_text(
+            "morphism forget : cmon -> mon\nsort * => *;\nfun e => [] e;\n"
+            "fun mul => [x:*, y:*] mul(x,y);\n")
+        code, out, _ = run(capsys, "translate", "--check",
+                           files / "forget.phlm", "-k", "3")
+        assert code == 1
+        assert out == "comm: Refuted\nnot accepted\n"
+
     def test_repeated_theory_name_exit_11(self, files, capsys):
         code, out, err = run(capsys, "translate", files / "emb.phlm",
                              "[f:e] true |- def(s(f))",
@@ -416,6 +428,18 @@ class TestSketch:
         assert code == 11
         assert out == ""
         assert "bad sketch 'dup': duplicate object 'a'" in err
+
+    @pytest.mark.parametrize("line, message", [
+        ("compose ia ia = ia;", "compose ia ia given twice"),
+        ("identity a = ia;", "identity a given twice"),
+    ])
+    def test_sketch_line_given_twice(self, capsys, tmp_path, line, message):
+        path = tmp_path / "dup.sk"
+        path.write_text("sketch dup\nobjects: a;\narrow ia : a -> a;\n"
+                        "identity a = ia;\ncompose ia ia = ia;\n" + line + "\n")
+        code, out, err = run(capsys, "sketch2pht", path)
+        assert (code, out) == (11, "")
+        assert message in err
 
 
 class TestBirkhoff:

@@ -1,4 +1,6 @@
+import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -17,7 +19,11 @@ from phl.syntax import (
     TRUE, Var,
     conj, defined, parse_sequent, parse_theory, print_sequent,
 )
-from phl.theories import mon_theory, pos_theory
+from phl.sampling import random_sequent
+from phl.semantics import formula_holds_at, interp_formula, is_model
+from phl.theories import cat_theory, mon_theory, pos_theory
+
+from conftest import prove_saturation_first
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
 
@@ -272,7 +278,7 @@ class TestProve:
 
     def test_unknown_when_budget_exhausted(self, mon):
         # not derivable and no small countermodel: mul(x,y) = mul(y,x)
-        # fails first in a 6-element monoid, beyond the bound used here
+        # fails first in a 3-element monoid, beyond the bound used here
         seq = parse_sequent("[x:*, y:*] true |- mul(x,y) = mul(y,x)",
                             mon.signature)
         r = prove(mon, seq, depth=1, model_size=1)
@@ -344,6 +350,87 @@ class TestProve:
         seq = parse_sequent("[x:*, y:*, z:*] leq(x,y) |- leq(x,y)",
                             pos.signature)
         assert isinstance(prove(pos, seq, depth=1, model_size=0), Proved)
+
+
+def schedule_corpus():
+    """(theory, sequent, depth): the sequents of acceptance criteria 1-3 at
+    their depths, then 20 more random sequents each over pos, mon and cat."""
+    from test_acceptance import (
+        BRIDGE_SEED, SOUNDNESS_SEED, bridge_corpus, golden_corpus,
+        soundness_corpus,
+    )
+    for theory, d in golden_corpus():
+        yield theory, d.sequent, 4
+    rng = random.Random(SOUNDNESS_SEED)
+    for theory in (pos_theory(), mon_theory(), cat_theory()):
+        for seq in soundness_corpus(theory, rng):
+            yield theory, seq, 3
+    rng = random.Random(BRIDGE_SEED)
+    for theory in (pos_theory(), mon_theory()):
+        for seq in bridge_corpus(theory, rng):
+            yield theory, seq, 4
+    rng = random.Random(1717)
+    for theory in (pos_theory(), mon_theory(), cat_theory()):
+        for _ in range(20):
+            yield theory, random_sequent(rng, theory, max_vars=2, max_atoms=3,
+                                         depth=2), 3
+
+
+class TestSchedule:
+    """prove tries a batch of small models after a slice of the budget;
+    `prove_saturation_first` saturates with the whole budget first."""
+
+    def test_same_verdicts_as_saturation_first(self):
+        kinds = Counter()
+        for theory, seq, depth in schedule_corpus():
+            for k in (2, 3):
+                # a small budget, so that many first slices run out
+                want = prove_saturation_first(theory, seq, depth, k, 2_000)
+                got = prove(theory, seq, depth, k, 2_000)
+                case = (theory.name, k, print_sequent(seq))
+                if not (isinstance(want, Refuted) and "term model" in want.note):
+                    assert got == want, case
+                    kinds[want.verdict] += 1
+                elif got == want:
+                    kinds["same term model"] += 1
+                else:
+                    assert got.note == "enumerated countermodel", case
+                    m, tup = got.countermodel, got.witness
+                    assert is_model(m, theory).ok, case
+                    assert tup in interp_formula(m, seq.context, seq.premise), case
+                    assert not formula_holds_at(m, seq.context, seq.conclusion,
+                                                tup), case
+                    kinds["term model to enumerated"] += 1
+        assert all(kinds[kind] for kind in (
+            "Proved", "Refuted", "Unknown", "same term model",
+            "term model to enumerated")), kinds
+
+    @pytest.mark.parametrize("theory, text, options, budgets, verdict", [
+        # the slice runs out and the 10th model is a countermodel
+        ("mon", "[x:*, y:*] true |- mul(x,y) = mul(y,x)", {}, [31_250],
+         "Refuted"),
+        # a slice that does not run out is final
+        ("pos", "[x:*, y:*, z:*] leq(x,y) /\\ leq(y,z) |- leq(x,z)", {},
+         [31_250], "Proved"),
+        # no countermodel among the first models: saturate afresh
+        ("pos", "[x:*, y:*, z:*] leq(x,y) /\\ leq(y,z) |- leq(x,z)",
+         {"model_size": 1, "max_work": 5}, [0, 5], "Unknown"),
+    ])
+    def test_saturation_budgets(self, pos, mon, monkeypatch, theory, text,
+                                options, budgets, verdict):
+        theory = {"pos": pos, "mon": mon}[theory]
+        seen, saturate = [], prover.saturate
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["max_work"])
+            return saturate(*args, **kwargs)
+
+        monkeypatch.setattr(prover, "saturate", recording)
+        r = prove(theory, parse_sequent(text, theory.signature), **options)
+        assert (seen, r.verdict) == (budgets, verdict)
+        if verdict == "Refuted":
+            assert r.countermodel.name == "M9"
+            assert r.note == "enumerated countermodel"
 
 
 class TestSoundness:
