@@ -11,7 +11,7 @@ from typing import Callable
 from .freemodel import representing_model, repn_morphism
 from .morphology import closed_submodels, is_retraction, orthogonal
 from .semantics import (
-    Homomorphism, PartialStructure, SemanticsError, check_hom, exists_hom,
+    Homomorphism, PartialStructure, SemanticsError, exists_hom,
     holds, is_model, iter_homs, product,
 )
 from .syntax import PhlError, Theory, Var, conj, conjuncts
@@ -77,7 +77,7 @@ def find_iso(m: PartialStructure, n: PartialStructure):
     Only the forward map is checked as it grows.  Equal iso keys mean equal
     carrier and table sizes, so an injective hom m -> n is onto every carrier
     and sends the entries of each table of m onto those of n: its inverse is
-    a hom as well.  The final check of the inverse guards that argument."""
+    a hom as well.  The final check, `_onto_entries`, guards that argument."""
     if m.signature != n.signature or iso_key(m) != iso_key(n):
         return None
     inv_m = _element_invariants(m)
@@ -89,13 +89,28 @@ def find_iso(m: PartialStructure, n: PartialStructure):
             same_colour.setdefault(inv_n[s][b], set()).add(b)
         restrict[s] = {a: same_colour[inv_m[s][a]] for a in m.carrier(s)}
     h = exists_hom(m, n, restrict=restrict, injective=True)
-    if h is None:
+    if h is None or not _onto_entries(h):
         return None
     hinv = Homomorphism("iso_inv", n, m, {s: {b: a for a, b in t.items()}
                                           for s, t in h.maps.items()})
-    if not check_hom(hinv):
-        return None
     return Homomorphism("iso", m, n, h.maps), hinv
+
+
+def _onto_entries(h: Homomorphism) -> bool:
+    """Whether an injective hom h: m -> n is onto the elements of n and every
+    table entry of n's view is the image under h of an entry of m's: exactly
+    when the inverse of h is a hom n -> m."""
+    vm, vn = h.source.view, h.target.view
+    number = {e: i for i, e in enumerate(vn.elems)}
+    image = [number[(s, h.maps[s][a])] for s, a in vm.elems]
+    if len(set(image)) != len(vn.elems):
+        return False
+
+    def images(entries):
+        return {(name, tuple(image[i] for i in args)) for name, args in entries}
+
+    return images(vm.funcs).issuperset(vn.funcs) and \
+        images(vm.rels).issuperset(vn.rels)
 
 
 def fingerprint(m: PartialStructure) -> tuple:

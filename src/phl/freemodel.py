@@ -10,7 +10,6 @@ quotient structure is the exact representing model.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -53,7 +52,8 @@ class TermGraph:
     and a merge only reprocesses the parents of the absorbed class.  Formulas
     are matched against the graph and written into it by compiled flat
     clauses (`_compiled`), which read `parent`, `table`, `class_depth` and
-    `facts` directly.
+    `facts` directly.  A clause runs its whole loop over given classes of its
+    variables and tells a class absorbed since by `parent[c] != c`.
     """
 
     def __init__(self, sig: Signature):
@@ -69,7 +69,6 @@ class TermGraph:
         self.class_depth: dict[int, int] = {}
         self.facts: set[tuple[str, tuple[int, ...]]] = set()
         self.trace: list[TraceEvent] = []
-        self.absorbed: list[int] = []         # roots in the order merges absorbed them
         self.vars: dict[str, int] = {}
         self.n_classes = 0
 
@@ -92,7 +91,6 @@ class TermGraph:
             if ry < rx:
                 rx, ry = ry, rx
             self.parent[ry] = rx
-            self.absorbed.append(ry)
             self.n_classes -= 1
             self.class_depth[rx] = min(self.class_depth[rx],
                                        self.class_depth.pop(ry))
@@ -179,7 +177,6 @@ class TermGraph:
         g.class_depth = dict(self.class_depth)
         g.facts = set(self.facts)
         g.trace = list(self.trace)
-        g.absorbed = list(self.absorbed)
         g.vars = dict(self.vars)
         g.n_classes = self.n_classes
         return g
@@ -224,48 +221,108 @@ class TermGraph:
 
 @lru_cache(maxsize=1024)
 def _compiled(clause, nvars: int, sig: Signature):
-    """A flat clause as a Python function `run(g, combo, cap, name, event=None)`
-    over a graph, with `combo` the classes of the first `nvars` slots.
+    """A flat clause as a Python function `run(g, pools, limit, cap, name,
+    event=None)` that tries it at the environments of the product of
+    `pools`, the classes of its first `nvars` slots, in `itertools.product`
+    order.
 
-    `run` returns None if the premise does not hold in `g`.  Otherwise it
-    drives the conclusion into `g` and returns True if some atom was deferred
-    for exceeding the depth cap (None means no cap).  The premise only reads
-    the graph: an equation compares classes as given, and a subterm slot
-    receives the canonical class of its node.  The conclusion creates each
-    missing node at one more than the depth of its deepest child, unless
-    that exceeds the cap, in which case its top-level term stops there and
-    yields no class; an atom over a term without a class is deferred.
-    Every merge or new fact records `event`, by default `(name, combo)`.
+    `run` counts the environments and stops before the one numbered `limit`.
+    An environment whose classes are not all canonical is counted and
+    skipped, a whole block at once when an outer slot's class is not.  At
+    the others, if the premise holds, `run` drives the conclusion into `g`.
+    The premise only reads the graph: an equation compares classes as given,
+    and a subterm slot receives the canonical class of its node.  The
+    conclusion creates each missing node at one more than the depth of its
+    deepest child, unless that exceeds `cap` (a number, `math.inf` for no
+    cap), in which case its top-level term stops there and yields no class;
+    an atom over a term without a class is deferred.  Every merge or new
+    fact records `event`, by default `(name, environment)`.  `run` returns
+    True if some atom was deferred; a clause without conclusion atoms
+    returns False if the premise held at some environment and None
+    otherwise.
 
-    Slot i is the local `v{i}`; symbol and sort names enter the source only
-    as literals."""
-    body = [f"{_tuple([f'v{i}' for i in range(nvars)])} = combo",
-            "parent, table = g.parent, g.table"]
+    Slot i is the local `v{i}` and pool i is `p{i}`; symbol and sort names
+    enter the source only as literals.  Slots stay canonical until the
+    conclusion's first merge, so no `find` runs on them before it.  A table
+    lookup over context slots only, before that merge, is read in the loop
+    that binds the last of them (into `h{slot}`) and read again where it is
+    used if a node was added or a merge made since (the count `mut`, as of
+    `hm{slot}`)."""
+    hoisted: dict[int, tuple[int, str]] = {}      # slot -> (level, key)
+
+    def hoist(sym, args, slot, merged) -> list[str] | None:
+        """Hoist the lookup of `slot` if it can be, and return the source
+        that brings it up to date where it is used; None if it is read in
+        place."""
+        level = max(args, default=-1)
+        if merged or level >= nvars - 1 or any(a >= nvars for a in args):
+            return None
+        key = f"({sym!r}, {_tuple([f'v{a}' for a in args])})"
+        hoisted[slot] = (level, key)
+        return [f"if hm{slot} != mut:", *_indent(_read(slot, key))]
+
+    fail = "continue" if nvars else "return deferred"
+    body: list[str] = []
     for kind, sym, args, slot in clause.premise:
         key = f"({sym!r}, {_tuple([f'v{a}' for a in args])})"
         if kind == EQ:
             if args[0] != args[1]:
-                body.append(f"if v{args[0]} != v{args[1]}: return None")
+                body.append(f"if v{args[0]} != v{args[1]}: {fail}")
         elif kind == REL:
-            body.append(f"if {key} not in g.facts: return None")
+            body.append(f"if {key} not in g.facts: {fail}")
+        elif (refresh := hoist(sym, args, slot, False)) is not None:
+            body += [*refresh, f"if h{slot} is None: {fail}", f"v{slot} = h{slot}"]
         else:
-            body += [f"i = table.get({key})", "if i is None: return None",
+            body += [f"i = table.get({key})", f"if i is None: {fail}",
                      _find("i"), f"v{slot} = i"]
-    body += ["depth = g.class_depth", "deferred = False"]
     atoms = clause.conclusion
+    if not atoms:
+        body.append("deferred = False")
+    record = (f"(name, {_tuple([f'v{a}' for a in range(nvars)])}) "
+              "if event is None else event")
+    merged = False
     unset: set[int] = set()     # slots of top-level terms, None if deferred
     for k, (kind, sym, args, _) in enumerate(atoms):
         if kind == TERM:
             end = next((j for j in range(k + 1, len(atoms))
                         if atoms[j][0] != FUN), len(atoms))
-            body += _term_source(atoms[k:end], sig)
+            body += _term_source(atoms[k:end], sig, nvars, merged, hoist)
             unset.add(atoms[end - 1][3])
         elif kind != FUN:       # FUN atoms belong to the term before them
-            body += _atom_source(kind, sym, args, unset)
-    body.append("return deferred")
+            body += _atom_source(kind, sym, args, unset, nvars, merged, record)
+            merged = merged or (kind == EQ and args[0] != args[1])
+    if merged and nvars > 1:    # an outer class absorbed: skip its block
+        body.append(f"if {_absorbed(nvars - 1)}: break")
+
+    loops = ["parent, table, depth = g.parent, g.table, g.class_depth",
+             "deferred = None", "count = mut = 0"]
+    if nvars:
+        loops.append(f"{_tuple([f'p{m}' for m in range(nvars)])} = pools")
+        # w{m}: the environments of one turn of the loop over p{m - 1}
+        loops += [f"w{m} = len(p{m})" + (f" * w{m + 1}" if m + 1 < nvars else "")
+                  for m in reversed(range(min(1, nvars - 1), nvars))]
+    else:
+        loops.append("if limit < 1: return deferred")
+    reads = {m: [] for m in range(-1, nvars)}
+    for slot, (level, key) in sorted(hoisted.items()):
+        reads[level] += _read(slot, key)
+    loops += reads[-1]
+    for m in range(nvars):
+        if m + 1 < nvars:
+            block = [f"for v{m} in p{m}:", f"    if {_absorbed(m + 1)}:",
+                     f"        count += w{m + 1}", "        continue",
+                     *_indent(reads[m])]
+        else:
+            block = ["rest = limit - count", "if rest <= 0: return deferred",
+                     f"count += w{m}",
+                     f"for v{m} in (p{m} if rest >= w{m} else p{m}[:rest]):",
+                     f"    if parent[v{m}] != v{m}: continue"]
+        loops += _indent(block, m)
+    loops += _indent(body, nvars)
+    loops.append("return deferred")
     namespace: dict = {}
-    source = "def run(g, combo, cap, name, event=None):\n" + \
-        "".join(f"    {line}\n" for line in body)
+    source = "def run(g, pools, limit, cap, name, event=None):\n" + \
+        "".join(f"    {line}\n" for line in loops)
     exec(compile(source, "<phl clause>", "exec"), namespace)
     return namespace["run"]
 
@@ -275,6 +332,10 @@ def _tuple(items: list[str]) -> str:
     return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
 
 
+def _indent(lines: list[str], times: int = 1) -> list[str]:
+    return ["    " * times + line for line in lines]
+
+
 def _find(x: str) -> str:
     """Source that replaces the local `x` by its canonical class, halving
     paths as `TermGraph.find` does."""
@@ -282,50 +343,87 @@ def _find(x: str) -> str:
             f"parent[{x}] = parent[parent[{x}]]; {x} = parent[{x}]")
 
 
-def _term_source(atoms, sig: Signature) -> list[str]:
+def _absorbed(n: int) -> str:
+    """Source of the test that one of the first `n` context classes is no
+    longer canonical."""
+    return " or ".join(f"parent[v{m}] != v{m}" for m in range(n))
+
+
+def _read(slot: int, key: str) -> list[str]:
+    """Source that reads the canonical class of the node `key`, or None,
+    into `h{slot}` as of the write count `mut`."""
+    return [f"h{slot} = table.get({key})", f"if h{slot} is not None:",
+            "    " + _find(f"h{slot}"), f"hm{slot} = mut"]
+
+
+def _term_source(atoms, sig: Signature, nvars: int, merged: bool,
+                 hoist) -> list[str]:
     """Source of one top-level term of a conclusion: its atoms in order,
     stopping at the first node deeper than the cap with the term's slot
-    None."""
+    None.  Its context slots need a `find` once the conclusion `merged`;
+    `hoist` gives the source of a hoisted lookup."""
     top = atoms[-1][3]
     out: list[str] = []
     made: set[int] = set()      # slots of this term, already canonical
     for _, sym, args, slot in atoms:
         kids = []
         for j, a in enumerate(args):
-            if a not in made:
+            if a in made or (a < nvars and not merged):
+                kids.append(f"v{a}")
+            else:
                 out += [f"k{j} = v{a}", _find(f"k{j}")]
-            kids.append(f"v{a}" if a in made else f"k{j}")
-        depth = ("1" if not kids else f"1 + depth[{kids[0]}]" if len(kids) == 1
-                 else f"1 + max({', '.join(f'depth[{c}]' for c in kids)})")
+                kids.append(f"k{j}")
         key = _tuple(kids)
-        out += [f"i = table.get(({sym!r}, {key}))",
-                "if i is None:",
-                f"    d = {depth}",
-                "    if cap is None or d <= cap:",
-                f"        i = g._add_node({sym!r}, None, {key}, "
-                f"{sig.function(sym).result!r}, d)"]
+        create = [*_depth_source(kids), "if d <= cap:",
+                  f"    i = g._add_node({sym!r}, None, {key}, "
+                  f"{sig.function(sym).result!r}, d)",
+                  "    mut += 1"]
         if slot != top:
-            out += ["    else:", f"        v{top} = None", "        break"]
-        out += ["else:", "    " + _find("i"), f"v{slot} = i"]
+            create += ["else:", f"    v{top} = None", "    break"]
+        refresh = hoist(sym, args, slot, merged)
+        if refresh is None:
+            out += [f"i = table.get(({sym!r}, {key}))", "if i is None:",
+                    *_indent(create), "else:", "    " + _find("i")]
+        else:
+            out += [*refresh, f"i = h{slot}", "if i is None:", *_indent(create)]
+        out.append(f"v{slot} = i")
         made.add(slot)
     if len(atoms) == 1:
         return out
-    return ["while True:", *(f"    {line}" for line in out), "    break"]
+    return ["while True:", *_indent(out), "    break"]
 
 
-def _atom_source(kind: str, sym: str | None, args, unset: set[int]) -> list[str]:
+def _depth_source(kids: list[str]) -> list[str]:
+    """Source that sets `d` to one more than the deepest of the classes
+    `kids`."""
+    kids = list(dict.fromkeys(kids))
+    if len(kids) < 2:
+        return [f"d = 1 + depth[{kids[0]}]" if kids else "d = 1"]
+    out = [f"d = depth[{kids[0]}]"]
+    for k in kids[1:]:
+        out += [f"e = depth[{k}]", "if e > d: d = e"]
+    return out + ["d += 1"]
+
+
+def _atom_source(kind: str, sym: str | None, args, unset: set[int], nvars: int,
+                 merged: bool, record: str) -> list[str]:
     """Source of an equation or relation atom of a conclusion."""
     missing = " or ".join(f"v{a} is None" for a in dict.fromkeys(args)
                           if a in unset)
     if kind == EQ and args[0] == args[1]:       # def(t): only its term's class
         return [f"if {missing}: deferred = True"] if missing else []
-    record = "(name, combo) if event is None else event"
-    classes = [f"c{j}" for j in range(len(args))]
     out: list[str] = []
-    for c, a in zip(classes, args):
-        out += [f"{c} = v{a}", _find(c)]
+    classes = []
+    for j, a in enumerate(args):
+        if merged and a < nvars:
+            out += [f"c{j} = v{a}", _find(f"c{j}")]
+            classes.append(f"c{j}")
+        else:
+            classes.append(f"v{a}")
     if kind == EQ:
-        out.append(f"if c0 != c1: g.merge(c0, c1, {record})")
+        c0, c1 = classes
+        out += [f"if {c0} != {c1}:", f"    g.merge({c0}, {c1}, {record})",
+                "    mut += 1"]
     else:
         out += [f"key = ({sym!r}, {_tuple(classes)})",
                 "if key not in g.facts:",
@@ -333,22 +431,23 @@ def _atom_source(kind: str, sym: str | None, args, unset: set[int]) -> list[str]
                 f"    g.trace.append({record})"]
     if not missing:
         return out
-    return [f"if {missing}: deferred = True", "else:",
-            *(f"    {line}" for line in out)]
+    return [f"if {missing}: deferred = True", "else:", *_indent(out)]
 
 
 def holds_in_graph(g: TermGraph, f: Formula, env: dict[str, int]) -> bool:
     """Whether a formula instance is established by the current graph."""
     run = _compiled(flatten(tuple(env), f), len(env), g.sig)
-    return run(g, tuple(g.find(env[n]) for n in env), None, None) is not None
+    pools = [(g.find(i),) for i in env.values()]
+    return run(g, pools, 1, None, None) is not None
 
 
 def assert_in_graph(g: TermGraph, f: Formula, env: dict[str, int],
                     cap: int | None, event: TraceEvent) -> bool:
     """Drive a formula instance into the graph; True if some atom was
-    deferred for exceeding the depth budget."""
+    deferred for exceeding the depth budget (None: no budget)."""
     run = _compiled(flatten(tuple(env), TRUE, f), len(env), g.sig)
-    return run(g, tuple(g.find(env[n]) for n in env), cap, None, event)
+    pools = [(g.find(i),) for i in env.values()]
+    return bool(run(g, pools, 1, math.inf if cap is None else cap, None, event))
 
 
 DEFAULT_WORK_BUDGET = 500_000
@@ -367,47 +466,33 @@ def saturation_pass(theory: Theory, g: TermGraph, cap: int | None,
     """One full pass of axiom instantiation; returns (changed, deferred).
 
     Environments range over the classes canonical at the start of the pass,
-    axiom by axiom in `itertools.product` order, and each runs the axiom's
-    compiled clause; classes absorbed mid-pass are skipped (their instances
-    are covered at the absorbing class, which is always the older one).
-    Every environment, skipped or not, spends one unit of the work budget.
-    The first environment beyond the budget aborts the pass, which then
-    counts as a deferral: `budget.remaining` drops by the environments tried
-    plus the aborting one and `budget.exhausted` is set."""
+    axiom by axiom in `itertools.product` order, and each axiom's compiled
+    clause runs its whole loop over them; classes absorbed mid-pass are
+    skipped (their instances are covered at the absorbing class, which is
+    always the older one).  Every environment, skipped or not, spends one
+    unit of the work budget.  The first environment beyond the budget aborts
+    the pass, which then counts as a deferral: `budget.remaining` drops by
+    the environments tried plus the aborting one and `budget.exhausted` is
+    set."""
     before = g.stamp()
     deferred = False
     classes = g.classes_by_sort()
-    log = g.absorbed
-    seen = len(log)
-    fresh = len(g.parent)           # ids from here on are nodes made in this pass
-    absorbed: set[int] = set()      # starting classes absorbed so far
+    bound = math.inf if cap is None else cap
     left = math.inf if budget is None else budget.remaining
     for ax in theory.axioms:
         seq = ax.sequent
         run = _compiled(flatten(seq.context.names, seq.premise, seq.conclusion),
                         len(seq.context), g.sig)
-        name = ax.name
         pools = [classes[s] for _, s in seq.context.vars]
-        combos = itertools.product(*pools)
         n = math.prod(map(len, pools))
         allowed = max(left, 0)
-        abort = n > allowed
-        if abort:
-            combos = itertools.islice(combos, allowed)
-        else:
-            left -= n
-        for combo in combos:
-            if absorbed and not absorbed.isdisjoint(combo):
-                continue
-            if run(g, combo, cap, name):
-                deferred = True
-            if len(log) != seen:
-                absorbed.update(c for c in log[seen:] if c < fresh)
-                seen = len(log)
-        if abort:
+        if run(g, pools, min(n, allowed), bound, ax.name):
+            deferred = True
+        if n > allowed:
             budget.remaining = left - allowed - 1
             budget.exhausted = True
             return g.stamp() != before, True
+        left -= n
     if budget is not None:
         budget.remaining = left
     return g.stamp() != before, deferred

@@ -36,6 +36,12 @@ def is_closed_mono(h: Homomorphism) -> bool:
     if not is_injective(h):
         raise MorphologyError("not a monomorphism")
     sub, _ = closed_submodel_generated(h.target, hom_image(h))
+    return _image_is_closed(h, sub)
+
+
+def _image_is_closed(h: Homomorphism, sub: PartialStructure) -> bool:
+    """Whether the image of a mono h is `sub`, the closed submodel its image
+    generates, with the inverse of h a hom from `sub` to the source."""
     inverse = {s: {b: {a} for a, b in h.maps[s].items()}
                for s in h.source.signature.sorts}
     return sub.size() == h.source.size() and \
@@ -159,7 +165,8 @@ class FactorizationResult:
 def factorize(h: Homomorphism) -> FactorizationResult:
     """Factor h as a dense morphism followed by a closed monomorphism, through
     the closed submodel generated by the image.  Each hom involved is
-    checked once."""
+    checked once, and each closure is taken once: the inclusion's image is
+    the closed submodel itself, so it generates that submodel again."""
     if not check_hom(h):
         raise MorphologyError(f"'{h.name}' is not a homomorphism")
     mid, incl = closed_submodel_generated(h.target, hom_image(h))
@@ -169,7 +176,7 @@ def factorize(h: Homomorphism) -> FactorizationResult:
         raise MorphologyError("corestriction failed to be a homomorphism")
     if not _image_generates_target(dense):
         raise MorphologyError("dense part failed the density check")
-    if not is_closed_mono(incl):
+    if not (check_hom(incl) and is_injective(incl) and _image_is_closed(incl, mid)):
         raise MorphologyError("inclusion failed the closedness check")
     comp = compose_homs(incl, dense)
     if comp.maps != h.maps:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
-from phl.semantics import Homomorphism
+from phl.semantics import Homomorphism, check_hom, exists_hom
 from phl.syntax import App, Eq, RelApp, Var, conj, defined
 from phl.theories import (
     cat_theory, chain_poset, mon_theory, pos_theory, zmod_monoid,
@@ -133,6 +133,35 @@ def reference_iter_homs(m, n, restrict=None, injective=False):
             del maps[s][a]
 
     yield from rec(0)
+
+
+# ---------------------------------------------------------------------------
+# find_iso as it was when it checked the inverse map with check_hom: the
+# oracle for birkhoff._onto_entries
+
+def inverse_is_hom(h) -> bool:
+    """Whether the inverse of an injective hom is a hom, by check_hom."""
+    return check_hom(Homomorphism("iso_inv", h.target, h.source,
+                                  {s: {b: a for a, b in t.items()}
+                                   for s, t in h.maps.items()}))
+
+
+def guarded_find_iso(m, n):
+    from phl import birkhoff
+    if m.signature != n.signature or birkhoff.iso_key(m) != birkhoff.iso_key(n):
+        return None
+    inv_m = birkhoff._element_invariants(m)
+    inv_n = birkhoff._element_invariants(n)
+    restrict = {}
+    for s in m.signature.sorts:
+        same_colour = {}
+        for b in n.carrier(s):
+            same_colour.setdefault(inv_n[s][b], set()).add(b)
+        restrict[s] = {a: same_colour[inv_m[s][a]] for a in m.carrier(s)}
+    h = exists_hom(m, n, restrict=restrict, injective=True)
+    if h is None or not inverse_is_hom(h):
+        return None
+    return h
 
 
 def prove_saturation_first(theory, seq, depth=4, model_size=4, max_work=None):

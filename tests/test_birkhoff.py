@@ -14,7 +14,8 @@ from phl.birkhoff import (
 from phl.morphology import closed_submodel_generated
 from phl.semantics import (
     Homomorphism, SemanticsError, check_hom, compose_homs, enumerate_homs,
-    enumerate_models, holds, identity_hom, is_model, make_structure, product,
+    enumerate_models, holds, identity_hom, is_model, iter_homs, make_structure,
+    product,
 )
 from phl.syntax import NamedAxiom, parse_sequent
 from phl.theories import (
@@ -23,7 +24,7 @@ from phl.theories import (
 )
 from phl.translation import U_rho_hom, make_theory_morphism
 
-from conftest import partial_hom_ok
+from conftest import guarded_find_iso, inverse_is_hom, partial_hom_ok
 
 
 def two_chain_category():
@@ -117,6 +118,33 @@ class TestIsoIndex:
         for m in mixed:
             assert u.contains_iso(m) == any(
                 find_iso(m, n) is not None for n in u.models), m.name
+
+
+    @pytest.mark.parametrize("theory", [preorder_theory(), mon_inv_theory()],
+                             ids=["preord", "mon_inv"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_inverse_guard_matches_check_hom(self, theory, seed):
+        """find_iso's final guard against check_hom of the inverse, which it
+        replaced, on the corpus above: on the first injective homs between
+        structures of equal carrier sizes, and through find_iso on every
+        pair with equal keys."""
+        rng = random.Random(seed)
+        models = list(enumerate_models(theory, 3))
+        mixed = models + [relabelled(m, rng, f"{rng.choice('AMZ')}{i}")
+                          for i, m in enumerate(rng.sample(models, len(models) // 2))]
+        non_iso = 0
+        for m, n in itertools.product(mixed, repeat=2):
+            if m.carriers.keys() == n.carriers.keys() and \
+                    all(len(m.carrier(s)) == len(n.carrier(s)) for s in m.carriers):
+                for h in itertools.islice(iter_homs(m, n, injective=True), 4):
+                    assert birkhoff._onto_entries(h) == inverse_is_hom(h)
+            if birkhoff.iso_key(m) == birkhoff.iso_key(n):
+                got, want = find_iso(m, n), guarded_find_iso(m, n)
+                assert (got is None) == (want is None), (m.name, n.name)
+                non_iso += got is None
+                assert got is None or got[0].maps == want.maps
+        if theory.signature.relations:
+            assert non_iso, "every pair with equal keys is isomorphic"
 
 
 def reference_find_iso(m, n):

@@ -237,6 +237,22 @@ class TestFactor:
         assert code == 0
         assert sorted(calls) == ["collapse", "collapse_dense", "incl"]
 
+    def test_each_image_closed_once(self, files, capsys, monkeypatch):
+        # the image {b} is closed in chain2, and then in the mid object
+        # for the density check; the inclusion's closedness needs no third
+        from phl import morphology
+        calls, close = [], morphology.closed_submodel_generated
+
+        def counted(b, subset):
+            calls.append((b.name, {s: sorted(v) for s, v in subset.items()}))
+            return close(b, subset)
+
+        monkeypatch.setattr(morphology, "closed_submodel_generated", counted)
+        code, _, _ = run(capsys, "factor", files / "pos.phl",
+                         files / "collapse.hom")
+        assert code == 0
+        assert calls == [("chain2", {"*": ["b"]}), ("chain2_sub", {"*": ["b"]})]
+
     def test_non_hom_rejected(self, files, capsys):
         (files / "flip.hom").write_text(
             COLLAPSE_HOM.replace("collapse", "flip").replace("a->b b->b",

@@ -312,6 +312,130 @@ axiom glue [y:a, x:c] true |- def(f(x)) /\\ k(h(y)) = j(y);
             == "probed"
         assert skipped == [(0, 3)]
 
+    def test_hoisted_lookup_read_again_after_a_write(self):
+        # f(x) is looked up once per x; the instance at (a, a) creates it,
+        # and (a, b) must then find it rather than create it again
+        theory = parse_theory("""\
+theory hoist
+sorts: *
+fun f : * -> *;
+fun g : * -> *;
+axiom mk [x:*, y:*] true |- def(f(x)) /\\ def(g(y));
+""")
+        ctx, phi = parse_formula_in_context("[a:*, b:*] true", theory.signature)
+        seq = Sequent(ctx, phi, TRUE)
+        endings = {lockstep(theory, seq, depth, max_work, [])
+                   for depth in (1, 2) for max_work in (3, 50, 2_000)}
+        assert {"exhausted", "probed"} <= endings
+        g, _, _, _ = saturate(theory, ctx, phi, 1)
+        assert g.stamp() == (6, 6, 0)
+
+    def test_hoisted_class_read_again_after_a_merge(self):
+        # the instance at (a, b) writes nothing but the merge of f(a) into
+        # b; at (a, c) the lookup of f(a) must give b, or the fact s(f(a))
+        # is added again under f(a)'s old class
+        theory = parse_theory("""\
+theory remerge
+sorts: *
+fun f : * -> *;
+rel r : * *;
+rel s : *;
+axiom fold [x:*, y:*] r(x, y) |- s(f(x)) /\\ f(x) = y;
+""")
+        ctx, phi = parse_formula_in_context(
+            "[a:*, b:*, c:*] r(a, b) /\\ r(a, c) /\\ s(f(a))", theory.signature)
+        seq = Sequent(ctx, phi, TRUE)
+        endings = {lockstep(theory, seq, depth, max_work, [])
+                   for depth in (1, 2) for max_work in (2, 3, 50)}
+        assert {"exhausted", "probed"} <= endings
+
+    def test_deferred_hoisted_term_fits_after_a_merge(self):
+        # f(x) at x = h(h(a)) is too deep at (x, k(a)); that instance then
+        # merges x with k(a), which lowers x's depth to 1, so the instance
+        # at (x, m(a)) creates f(x) at depth 2
+        theory = parse_theory("""\
+theory lower
+sorts: *
+fun h : * -> *;
+fun k : * -> *;
+fun m : * -> *;
+fun f : * -> *;
+rel r : * *;
+axiom low [x:*, y:*] r(x, y) |- def(f(x)) /\\ x = y;
+""")
+        ctx, phi = parse_formula_in_context(
+            "[a:*] r(h(h(a)), k(a)) /\\ r(h(h(a)), m(a))", theory.signature)
+        seq = Sequent(ctx, phi, TRUE)
+        endings = {lockstep(theory, seq, 2, max_work, [])
+                   for max_work in (5, 12, 13, 14, 2_000)}
+        assert {"exhausted", "probed"} <= endings
+        g = TermGraph(theory.signature)
+        env = {"a": g.add_var("a", "*")}
+        assert_in_graph(g, phi, env, None, ("premise", ()))
+        assert g.class_depth[2] == 2 and g.stamp() == (5, 5, 2)
+        assert saturation_pass(theory, g, 2) == (True, True)
+        fx = App("f", (App("h", (App("h", (Var("a"),)),)),))
+        assert g.class_depth[g.lookup(fx, env)] == 2
+
+    def test_budget_runs_out_inside_a_skipped_block(self):
+        # (0, 1, 0) merges 1 into 0, so the 16 instances at x = 1 are
+        # skipped together; budgets 17 to 31 run out among them
+        theory = parse_theory("""\
+theory block
+sorts: *
+rel r : * *;
+axiom glue [x:*, y:*, z:*] r(x, y) |- x = y;
+""")
+        ctx, phi = parse_formula_in_context(
+            "[a:*, b:*, c:*, d:*] r(a, b) /\\ r(c, d)", theory.signature)
+        seq = Sequent(ctx, phi, TRUE)
+        skipped = []
+        endings = {lockstep(theory, seq, 1, max_work, skipped)
+                   for max_work in range(1, 90)}
+        assert endings == {"exhausted", "probed", "probe exhausted"}
+        assert (1, 0, 0) in skipped and (1, 3, 3) in skipped
+
+    def test_outer_class_absorbed_mid_block(self):
+        # (0, 0, 1) merges k(b) into a; (1, 0, 1) then merges b into a, so
+        # the rest of x = b is skipped: (1, 0, 2) by the innermost loop,
+        # (1, 1, 0) onwards by the loop over z
+        theory = parse_theory("""\
+theory outer
+sorts: *
+fun k : * -> *;
+fun u : * -> *;
+rel q : *;
+rel t : * *;
+axiom fold [x:*, z:*, y:*] q(y) |- t(x, y) /\\ x = k(y);
+""")
+        ctx, phi = parse_formula_in_context(
+            "[a:*, b:*, c:*] q(b) /\\ q(c) /\\ def(k(b)) /\\ def(u(a))",
+            theory.signature)
+        seq = Sequent(ctx, phi, TRUE)
+        skipped = []
+        assert lockstep(theory, seq, 1, 400, skipped) == "probed"
+        assert (1, 0, 2) in skipped and (1, 1, 0) in skipped
+        endings = {lockstep(theory, seq, depth, max_work, [])
+                   for depth in (1, 2) for max_work in (5, 12, 50, 400)}
+        assert {"exhausted", "probed"} <= endings
+
+    def test_axiom_without_variables_and_empty_pool(self):
+        theory = parse_theory("""\
+theory edges
+sorts: * u
+fun k : -> *;
+fun f : * -> *;
+fun j : u -> *;
+axiom ground [] true |- def(f(k));
+axiom none [x:*, w:u, y:*] true |- f(x) = j(w);
+axiom each [x:*] true |- def(f(x));
+""")
+        ctx, phi = parse_formula_in_context("[a:*] true", theory.signature)
+        seq = Sequent(ctx, phi, TRUE)
+        endings = {lockstep(theory, seq, depth, max_work, [])
+                   for depth in (1, 2, 3) for max_work in range(40)}
+        assert {"exhausted", "probed", "probe exhausted"} <= endings
+
     def test_symbols_named_like_generated_locals(self):
         # every symbol, sort, variable and axiom is named like a local of
         # the compiled clauses; `run` reads a 0-ary term first, `key` writes
@@ -344,6 +468,28 @@ axiom key [v0:d] true |- table(v0, g) = parent(v0);
         assert g.lookup(App("parent", (Var("cap"),)), env) is not None
         assert g.lookup(App("parent", (App("parent", (App("g", ()),)),)),
                         env) is None
+        # and like the locals of the loops: `count(absorbed)` and `mut` are
+        # hoisted lookups, `h3(absorbed)` comes after the merge
+        theory = parse_theory("""\
+theory loops
+sorts: seen log
+fun count : seen -> seen;
+fun limit : seen seen -> seen;
+fun mut : -> seen;
+fun h3 : seen -> log;
+fun e : log -> log;
+rel pools : seen;
+rel hm3 : log;
+axiom count [absorbed:seen, fresh:seen] pools(absorbed) |- limit(count(absorbed), fresh) = mut /\\ hm3(h3(absorbed));
+axiom log [rest:log, w0:log, p0:log] hm3(rest) |- def(e(w0)) /\\ e(rest) = p0;
+""")
+        ctx, phi = parse_formula_in_context(
+            "[seen:seen, log:seen, d:log] pools(seen) /\\ pools(log) /\\ hm3(d)",
+            theory.signature)
+        seq = Sequent(ctx, phi, TRUE)
+        endings = {lockstep(theory, seq, depth, max_work, [])
+                   for depth in (1, 2, 3) for max_work in (3, 40, 2_000)}
+        assert {"exhausted", "probed"} <= endings
 
 
 class TestYoneda:

@@ -1,9 +1,11 @@
 """Differential tests for the routines that read structures and term graphs
-by their table entries: `semantics.product`, `birkhoff._element_invariants`
-and `freemodel.TermGraph.lookup`.  Each is compared with the version it
-replaced, kept here as the reference: products over the whole argument
-space, colour refinement that rescans every table per element, and lookup
-through a compiled `term = y` clause run on every class."""
+by their table entries: `semantics.product`, `birkhoff._element_invariants`,
+`birkhoff._onto_entries` and `freemodel.TermGraph.lookup`.  Each is compared
+with the version it replaced, kept here or in `conftest.py` as the
+reference: products over the whole argument space, colour refinement that
+rescans every table per element, the inverse of an iso checked by
+`check_hom`, and lookup through a compiled `term = y` clause run on every
+class."""
 import functools
 import itertools
 import math
@@ -14,15 +16,17 @@ import pytest
 from phl import birkhoff, freemodel
 from phl.morphology import closed_submodels
 from phl.semantics import (
-    UNDEF, PartialStructure, _pack, enumerate_models, exists_hom,
+    UNDEF, PartialStructure, _pack, enumerate_models, exists_hom, iter_homs,
     make_structure, product,
 )
 from phl.syntax import (
-    App, Eq, Var, flatten, parse_formula_in_context, subterms,
+    App, Eq, Var, parse_formula_in_context, subterms,
 )
 from phl.theories import (
     cat_theory, mon_inv_theory, mon_theory, pos_theory, preorder_theory,
 )
+
+from conftest import guarded_find_iso, inverse_is_hom
 
 # ---------------------------------------------------------------------------
 # the replaced routines
@@ -135,11 +139,8 @@ def reference_collapse(models):
 def reference_lookup(g, term, env):
     """The class c at which the compiled clause `term = y` holds, tried on
     every class in turn."""
-    run = freemodel._compiled(flatten((*env, ""), Eq(term, Var(""))),
-                              len(env) + 1, g.sig)
-    combo = [g.find(env[n]) for n in env]
-    return next((c for c, p in enumerate(g.parent)
-                 if p == c and run(g, (*combo, c), None, None) is not None),
+    return next((c for c, p in enumerate(g.parent) if p == c and
+                 freemodel.holds_in_graph(g, Eq(term, Var("")), {**env, "": c})),
                 None)
 
 
@@ -249,6 +250,40 @@ class TestColourRefinement:
             inv_m, inv_n = birkhoff._element_invariants(m), birkhoff._element_invariants(n)
             assert all(inv_n[s][pair[0].maps[s][a]] == c
                        for s, colours in inv_m.items() for a, c in colours.items())
+
+
+@pytest.mark.parametrize("name", sorted(THEORIES))
+def test_inverse_guard_matches_check_hom(name):
+    """find_iso's final guard against check_hom of the inverse, which it
+    replaced: on injective homs between structures of equal carrier sizes,
+    keys equal or not, and through find_iso on pairs with equal keys,
+    isomorphic or not."""
+    rng = random.Random(f"inverse-{name}")
+    models = corpus(name)
+    by_size = {}
+    for m in models:
+        by_size.setdefault(tuple(map(len, m.carriers.values())), []).append(m)
+    outcomes = set()
+    for m in rng.sample(models, 300):
+        n = rng.choice(by_size[tuple(map(len, m.carriers.values()))])
+        for h in itertools.islice(iter_homs(m, n, injective=True), 4):
+            got = birkhoff._onto_entries(h)
+            assert got == inverse_is_hom(h), (m.name, n.name, h.maps)
+            outcomes.add(got)
+    assert True in outcomes
+    if THEORIES[name]().signature.relations:
+        assert False in outcomes, "no hom misses a relation entry"
+    pairs = [p for bucket in birkhoff._index(models).values()
+             for p in itertools.combinations(bucket, 2)]
+    non_iso = 0
+    for m, n in rng.sample(pairs, 400):
+        got, want = birkhoff.find_iso(m, n), guarded_find_iso(m, n)
+        assert (got is None) == (want is None), (m.name, n.name)
+        if got is None:
+            non_iso += 1
+        else:
+            assert got[0].maps == want.maps
+    assert non_iso, "every sampled pair with equal keys is isomorphic"
 
 
 @pytest.mark.parametrize("name", sorted(THEORIES))
