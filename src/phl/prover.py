@@ -13,8 +13,7 @@ from .freemodel import (
     DEFAULT_WORK_BUDGET, ModelPresentation, SaturationStatus, TraceEvent,
     saturate,
 )
-from .semantics import PartialStructure, formula_holds_at, interp_formula, \
-    iter_models
+from .semantics import PartialStructure, holds, iter_models
 from .syntax import (
     App, Conj, Context, Eq, Formula, PhlError, RelApp, Sequent, Signature, Term,
     Theory, Truth, TRUE, Var, atoms, conj, defined, free_vars, is_definedness,
@@ -347,10 +346,12 @@ def _models(theory: Theory, size: int):
 
 
 def _countermodel(models, seq: Sequent) -> Refuted | None:
+    """The first model where `seq` fails, with `holds`' witness: the first
+    failing tuple in carrier order."""
     for m in models:
-        for tup in sorted(interp_formula(m, seq.context, seq.premise)):
-            if not formula_holds_at(m, seq.context, seq.conclusion, tup):
-                return Refuted(m, tup, "enumerated countermodel")
+        r = holds(m, seq)
+        if not r.ok:
+            return Refuted(m, r.witness, "enumerated countermodel")
     return None
 
 

@@ -157,7 +157,7 @@ def _reader(atoms):
             tables[name] = f"t{len(tables)}"
             loads.append(f"{tables[name]} = {'rels' if kind == REL else 'funcs'}"
                          f"[{name!r}]")
-        key = "(" + "".join(f"v{a}, " for a in args) + ")"
+        key = _key(args)
         miss = [f"    c = ({name!r}, {key})", "    if c not in holes: return False",
                 "    touched.append(c)", "    known = None"]
         if kind == REL:
@@ -182,6 +182,11 @@ def _reader(atoms):
     namespace: dict = {}
     exec(compile(source, "<phl reader>", "exec"), namespace)
     return namespace["make"](_UNK)
+
+
+def _key(slots) -> str:
+    """Source of the tuple of the given slots' locals."""
+    return "(" + "".join(f"v{a}, " for a in slots) + ")"
 
 
 def _tables(m: PartialStructure):
@@ -230,18 +235,90 @@ class HoldsResult:
         return self.ok
 
 
+_HOLDS = HoldsResult(True)
+
+
+@lru_cache(maxsize=1024)
+def _violation(clause, sorts: tuple[str, ...]):
+    """A sequent's flat clause, its context variables of the given sorts, as
+    a Python function `run(carriers, funcs, rels)` over a structure's
+    carriers and tables by name (a missing one empty): the first context
+    tuple, in `context_tuples` order, where the premise holds and the
+    conclusion does not, or None.
+
+    One `for` per context variable, in context order, binds it to the
+    elements of its carrier.  Each premise atom runs in the loop that binds
+    the last variable it depends on, and an undefined value or a false atom
+    goes on to that loop's next element (before every loop, returns None).
+    The conclusion's atoms run in the innermost loop, and the first that
+    fails returns the current tuple.  The conclusion defines once more every
+    slot it reads, so it never relies on the premise's copy of a slot.
+
+    Slot i is the local `v{i}`; sort and symbol names enter the source only
+    as literals."""
+    nvars = len(sorts)
+    level = {i: i + 1 for i in range(nvars)}    # slot -> loop that binds it
+    loads = [f"c{i} = carriers.get({s!r}, ())" for i, s in enumerate(sorts)]
+    tables: dict[tuple[str, str], str] = {}
+
+    def check(kind, name, args, out) -> list[str]:
+        """Source that reads one atom and ends in its failure test."""
+        if kind == EQ:
+            return [f"v{args[0]} != v{args[1]}"]
+        source, empty = ("rels", "()") if kind == REL else ("funcs", "{}")
+        t = tables.get((source, name))
+        if t is None:
+            t = tables[source, name] = f"t{len(tables)}"
+            loads.append(f"{t} = {source}.get({name!r}, {empty})")
+        if kind == REL:
+            return [f"{_key(args)} not in {t}"]
+        return [f"v{out} = {t}.get({_key(args)})", f"v{out} is None"]
+
+    body: list[list[str]] = [[] for _ in range(nvars + 1)]
+    for kind, name, args, out in clause.premise:
+        if kind == EQ and args[0] == args[1]:
+            continue
+        at = max((level[a] for a in args), default=0)
+        if out is not None:
+            level[out] = at
+        *setup, test = check(kind, name, args, out)
+        body[at] += [*setup, f"if {test}: {'continue' if at else 'return None'}"]
+    witness, last, redone = _key(range(nvars)), [], set()
+    for kind, name, args, out in clause.conclusion:
+        if kind == EQ and args[0] == args[1] or out in redone:
+            continue
+        if out is not None:
+            redone.add(out)
+        *setup, test = check(kind, name, args, out)
+        last += [*setup, f"if {test}: return {witness}"]
+    lines = []
+    if last:    # else no atom can fail
+        body[nvars] += last
+        lines += [*loads, *body[0]]
+        for i in range(nvars):
+            lines.append("    " * i + f"for v{i} in c{i}:")
+            lines += ["    " * (i + 1) + line for line in body[i + 1]]
+    source = ("def run(carriers, funcs, rels):\n"
+              + "".join(f"    {line}\n" for line in lines) + "    return None\n")
+    namespace: dict = {}
+    exec(compile(source, "<phl validity>", "exec"), namespace)
+    return namespace["run"]
+
+
 def holds(m: PartialStructure, seq: Sequent) -> HoldsResult:
-    """Validity of a sequent; on failure carries a premise tuple outside the
-    conclusion."""
-    clause = flatten(seq.context.names, seq.premise, seq.conclusion)
-    premise, conclusion = _reader(clause.premise), _reader(clause.conclusion)
-    funcs, rels = _tables(m)
-    for tup in context_tuples(m, seq.context):
-        vals = _slots(clause, tup)
-        if premise(vals, funcs, rels, _NO_HOLES, None) and \
-                not conclusion(vals, funcs, rels, _NO_HOLES, None):
-            return HoldsResult(False, tup)
-    return HoldsResult(True)
+    """Validity of a sequent.  On failure the witness is the first context
+    tuple in `context_tuples` order (carrier order, the last variable
+    fastest) where the premise holds and the conclusion does not.
+
+    The sequent's compiled check is cached on the sequent object, so a
+    repeated call neither flattens nor hashes its formulas."""
+    run = seq.__dict__.get("_violation")
+    if run is None:
+        run = _violation(flatten(seq.context.names, seq.premise, seq.conclusion),
+                         tuple(s for _, s in seq.context.vars))
+        object.__setattr__(seq, "_violation", run)
+    witness = run(m.carriers, m.funcs, m.rels)
+    return _HOLDS if witness is None else HoldsResult(False, witness)
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,27 @@ def formulas_over(sig, ctx, max_atoms=3):
 
 
 # ---------------------------------------------------------------------------
+# validity as a scan of every context tuple with the three-valued reader: the
+# oracle for the compiled check behind semantics.holds
+
+def reference_holds(m, seq):
+    """The first context tuple where the premise reads true and the
+    conclusion does not, each read afresh at every tuple."""
+    from phl.semantics import (
+        _NO_HOLES, HoldsResult, _reader, _slots, _tables, context_tuples,
+    )
+    from phl.syntax import flatten
+    clause = flatten(seq.context.names, seq.premise, seq.conclusion)
+    premise, conclusion = _reader(clause.premise), _reader(clause.conclusion)
+    funcs, rels = _tables(m)
+    for tup in context_tuples(m, seq.context):
+        vals = _slots(clause, tup)
+        if premise(vals, funcs, rels, _NO_HOLES, None) and \
+                not conclusion(vals, funcs, rels, _NO_HOLES, None):
+            return HoldsResult(False, tup)
+    return HoldsResult(True)
+
+
 # the hom search that rescans every table entry at every node: the oracle for
 # semantics.iter_homs, check_hom and morphology.is_closed_mono
 

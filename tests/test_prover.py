@@ -20,7 +20,8 @@ from phl.syntax import (
     conj, defined, parse_sequent, parse_theory, print_sequent,
 )
 from phl.sampling import random_sequent
-from phl.semantics import formula_holds_at, interp_formula, is_model
+from phl.semantics import formula_holds_at, interp_formula, is_model, \
+    make_structure
 from phl.theories import cat_theory, mon_theory, pos_theory
 
 from conftest import prove_saturation_first
@@ -345,6 +346,18 @@ class TestProve:
         for theory, text in cases:
             seq = parse_sequent(text, theory.signature)
             assert isinstance(prove(theory, seq, depth=4, model_size=0), Proved), text
+
+    def test_countermodel_witness_in_carrier_order(self, pos):
+        # the first failing tuple in carrier order, as `holds` gives it: up
+        # to u9 that is name order too, but from 11 elements on u2 comes
+        # before u10, which sorts first by name
+        elems = tuple(f"u{i}" for i in range(11))
+        m = make_structure("M", pos.signature, {"*": elems}, {},
+                           {"leq": {("u10", "u0"), ("u2", "u0")}})
+        seq = parse_sequent("[x:*, y:*] leq(x,y) |- leq(y,x)", pos.signature)
+        r = prover._countermodel(iter([m]), seq)
+        assert (r.countermodel, r.witness) == (m, ("u2", "u0"))
+        assert min(interp_formula(m, seq.context, seq.premise)) == ("u10", "u0")
 
     def test_weakened_sequent_proved(self, pos):
         seq = parse_sequent("[x:*, y:*, z:*] leq(x,y) |- leq(x,y)",

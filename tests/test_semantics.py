@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -20,14 +21,14 @@ from phl.prover import Refuted, prove
 from phl.sampling import random_sequent
 from phl.syntax import App, Conj, Context, EQ, Eq, FuncDecl, ParseError, REL, \
     RelApp, TRUE, Truth, Var, atoms, conj, defined, flatten, parse_sequent, \
-    parse_theory, subterms
+    parse_theory, print_sequent, subterms
 from phl.translation import sketch_to_pht
 from phl.theories import (
     MON_SRC, antichain_poset, cat_theory, chain_poset, cycle_preorder, mon_inv_theory,
     mon_theory, pos_theory, preorder_theory, zmod_monoid,
 )
 
-from conftest import formulas_over, reference_iter_homs
+from conftest import formulas_over, reference_holds, reference_iter_homs
 from test_translation import product_sketch, pullback_sketch
 
 
@@ -905,6 +906,112 @@ class TestCompiledReader:
                                     frozenset(), None)
                 want = vals[term_clause.terms.index(term)] if ok else None
                 assert interp_term(m, ctx, term, tup) == want
+        # and like the locals of the compiled validity check
+        theory = parse_theory(LOOPS)
+        sig = theory.signature
+        for sizes in ({"carriers": 2, "rels": 2}, {"carriers": 2, "rels": 0}):
+            carriers = {s: tuple(f"{s}{i}" for i in range(sizes[s]))
+                        for s in sig.sorts}
+            verdicts = set()
+            for _ in range(40):
+                m = make_structure("m", sig, carriers,
+                                   *random_tables(rng, sig, carriers)[:2])
+                for ax in theory.axioms:
+                    want = reference_holds(m, ax.sequent)
+                    assert holds(m, ax.sequent) == want, ax.name
+                    verdicts.add((ax.name, want.ok))
+            assert len(verdicts) == (6 if sizes["rels"] else 4)
+
+
+LOOPS = """\
+theory loops
+sorts: carriers rels
+fun run : carriers carriers -> carriers;
+fun funcs : carriers -> rels;
+fun t0 : -> carriers;
+fun c0 : rels -> rels;
+rel v0 : carriers rels;
+rel t1 : rels;
+axiom run [v1:carriers, c1:rels, carriers:carriers] v0(carriers, c1) /\\ t1(funcs(v1)) |- run(v1, carriers) = t0 /\\ t1(c0(funcs(carriers)));
+axiom funcs [] def(t0) |- v0(t0, funcs(t0)) /\\ run(t0, t0) = t0;
+axiom t0 [rels:rels, t2:carriers] t1(rels) /\\ v0(t2, rels) |- v0(t2, c0(rels)) /\\ def(c0(c0(rels)));
+"""
+
+
+class TestCompiledValidity:
+    """`holds` runs one compiled loop per sequent; `reference_holds` reads
+    the premise and the conclusion afresh at every context tuple."""
+
+    @pytest.mark.parametrize("theory_fn, sizes", [
+        (pos_theory, {"*": 3}), (preorder_theory, {"*": 3}),
+        (mon_theory, {"*": 3}), (mon_inv_theory, {"*": 3}),
+        (cat_theory, {"ob": 2, "mor": 3}),
+    ])
+    def test_agrees_with_reference(self, theory_fn, sizes):
+        theory = theory_fn()
+        sig = theory.signature
+        carriers = {s: tuple(f"e{i}" for i in range(sizes[s])) for s in sig.sorts}
+        rng = random.Random(1919)
+        verdicts = Counter()
+        for _ in range(80):
+            seq = random_sequent(rng, theory, max_vars=3, max_atoms=3, depth=2)
+            for _ in range(5):
+                funcs, rels, _ = random_tables(rng, sig, carriers)
+                m = make_structure("m", sig, carriers, funcs, rels)
+                want = reference_holds(m, seq)
+                assert holds(m, seq) == want, (print_sequent(seq), print_model(m))
+                verdicts[want.ok] += 1
+        assert verdicts[True] > 20 and verdicts[False] > 20, verdicts
+
+    @pytest.mark.parametrize("text, model, witness", [
+        # no context variables: the one empty tuple
+        ("[] true |- def(e)", "z2", None),
+        ("[] true |- def(e)", "no_e", ()),
+        ("[] def(e) |- mul(e, e) = e", "no_e", None),
+        ("[] def(e) |- mul(e, e) = e", "one", ()),
+        # the premise's mul(x,x), bound in the outer loop, defined again by
+        # the conclusion in the inner one
+        ("[x:*, y:*] mul(x, x) = e |- mul(mul(x, x), y) = y", "z2", None),
+        ("[x:*, y:*] mul(x, x) = e |- mul(mul(x, x), y) = y", "half", ("0", "1")),
+        ("[x:*, y:*] def(mul(x, x)) |- mul(y, mul(x, x)) = mul(x, x)", "half",
+         ("0", "1")),
+    ])
+    def test_edges(self, mon, z2, text, model, witness):
+        m = {"z2": z2,
+             "no_e": make_structure("no_e", mon.signature, {"*": ("0",)},
+                                    {"mul": {("0", "0"): "0"}}),
+             "one": make_structure("one", mon.signature, {"*": ("0", "1")},
+                                   {"e": {(): "1"}, "mul": {("1", "1"): "0"}}),
+             "half": make_structure("half", mon.signature, {"*": ("0", "1")},
+                                    {"e": {(): "0"}, "mul": {
+                                        ("0", "0"): "0", ("1", "1"): "0",
+                                        ("1", "0"): "1"}})}[model]
+        seq = parse_sequent(text, mon.signature)
+        want = HoldsResult(witness is None, witness)
+        assert reference_holds(m, seq) == want
+        assert holds(m, seq) == want
+
+    def test_empty_carrier(self, cat):
+        # no object: every context with an object variable has no tuple
+        m = make_structure("m", cat.signature, {"ob": (), "mor": ("f", "g")},
+                           {"comp": {("f", "f"): "g"}})
+        for text, witness in [
+                ("[x:ob, f:mor] true |- def(id(x))", None),
+                ("[f:mor, x:ob] def(comp(f, f)) |- comp(f, f) = f", None),
+                ("[f:mor] def(comp(f, f)) |- def(d(f))", ("f",)),
+                ("[f:mor, g:mor] true |- def(comp(g, f))", ("f", "g"))]:
+            seq = parse_sequent(text, cat.signature)
+            want = HoldsResult(witness is None, witness)
+            assert (holds(m, seq), reference_holds(m, seq)) == (want, want), text
+
+    def test_second_call_compiles_nothing(self, pos, chain2):
+        seq = parse_sequent("[x:*, y:*] leq(x,y) /\\ leq(y,x) |- x = y",
+                            pos.signature)
+        assert holds(chain2, seq).ok and is_model(chain2, pos).ok
+        before = semantics._violation.cache_info(), flatten.cache_info()
+        assert holds(cycle_preorder(), seq) == HoldsResult(False, ("a", "b"))
+        assert is_model(cycle_preorder(), pos).violations == (("antisym", ("a", "b")),)
+        assert (semantics._violation.cache_info(), flatten.cache_info()) == before
 
 
 def reference_violated(clause, tup, funcs, rels) -> bool:
