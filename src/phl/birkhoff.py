@@ -164,6 +164,8 @@ class ModelUniverse:
     index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.size_cap < 0:
+            raise BirkhoffError("size cap must be >= 0")
         for m in self.models:
             self._check_model(m)
         self.models = iso_collapse(self.models)

@@ -4,9 +4,9 @@ The engine maintains an e-graph of provably defined terms: nodes are function
 applications over congruence classes, merged by provable equality, together
 with derived relation facts.  Saturation instantiates theory axioms over the
 current classes; the depth budget bounds the construction depth of new nodes.
-A presentation is saturated when one further pass with a relaxed budget
-neither changes the graph nor defers any conclusion, in which case the
-quotient structure is the exact representing model.
+A presentation is saturated when a pass changes nothing and defers no
+conclusion, in which case the quotient structure is the exact representing
+model.
 """
 from __future__ import annotations
 
@@ -163,23 +163,6 @@ class TermGraph:
         for s in out:
             out[s].sort()
         return out
-
-    def copy(self) -> "TermGraph":
-        g = TermGraph(self.sig)
-        g.parent = list(self.parent)
-        g.sym = list(self.sym)
-        g.varname = list(self.varname)
-        g.children = list(self.children)
-        g.sort = list(self.sort)
-        g.node_key = list(self.node_key)
-        g.table = dict(self.table)
-        g.parents_of = {k: set(v) for k, v in self.parents_of.items()}
-        g.class_depth = dict(self.class_depth)
-        g.facts = set(self.facts)
-        g.trace = list(self.trace)
-        g.vars = dict(self.vars)
-        g.n_classes = self.n_classes
-        return g
 
     def representatives(self) -> dict[int, Term]:
         """Deterministic canonical term per class, minimal by
@@ -453,49 +436,33 @@ def assert_in_graph(g: TermGraph, f: Formula, env: dict[str, int],
 DEFAULT_WORK_BUDGET = 500_000
 
 
-class WorkBudget:
-    """Mutable instantiation allowance shared across saturation passes."""
-
-    def __init__(self, limit: int = DEFAULT_WORK_BUDGET):
-        self.remaining = limit
-        self.exhausted = False
-
-
-def saturation_pass(theory: Theory, g: TermGraph, cap: int | None,
-                    budget: WorkBudget | None = None) -> tuple[bool, bool]:
-    """One full pass of axiom instantiation; returns (changed, deferred).
+def saturation_pass(theory: Theory, g: TermGraph, cap: int,
+                    left: int) -> tuple[bool, bool, int]:
+    """One full pass of axiom instantiation; returns (changed, deferred, left).
 
     Environments range over the classes canonical at the start of the pass,
     axiom by axiom in `itertools.product` order, and each axiom's compiled
     clause runs its whole loop over them; classes absorbed mid-pass are
     skipped (their instances are covered at the absorbing class, which is
     always the older one).  Every environment, skipped or not, spends one
-    unit of the work budget.  The first environment beyond the budget aborts
-    the pass, which then counts as a deferral: `budget.remaining` drops by
-    the environments tried plus the aborting one and `budget.exhausted` is
-    set."""
+    unit of the work budget `left`.  An axiom with more environments than
+    are left tries only those left and aborts the pass, which then counts as
+    a deferral, and the `left` returned is negative."""
     before = g.stamp()
     deferred = False
     classes = g.classes_by_sort()
-    bound = math.inf if cap is None else cap
-    left = math.inf if budget is None else budget.remaining
     for ax in theory.axioms:
         seq = ax.sequent
         run = _compiled(flatten(seq.context.names, seq.premise, seq.conclusion),
                         len(seq.context), g.sig)
         pools = [classes[s] for _, s in seq.context.vars]
         n = math.prod(map(len, pools))
-        allowed = max(left, 0)
-        if run(g, pools, min(n, allowed), bound, ax.name):
+        if run(g, pools, min(n, left), cap, ax.name):
             deferred = True
-        if n > allowed:
-            budget.remaining = left - allowed - 1
-            budget.exhausted = True
-            return g.stamp() != before, True
         left -= n
-    if budget is not None:
-        budget.remaining = left
-    return g.stamp() != before, deferred
+        if left < 0:
+            return g.stamp() != before, True, left
+    return g.stamp() != before, deferred, left
 
 
 def saturate(theory: Theory, ctx: Context, constraint: Formula, depth: int,
@@ -509,6 +476,10 @@ def saturate(theory: Theory, ctx: Context, constraint: Formula, depth: int,
     as the generic tuple provably satisfies it (sound: derived facts only
     grow).  The work budget bounds total axiom instantiations (None selects
     DEFAULT_WORK_BUDGET); exhausting it yields a truncated result.
+    Otherwise saturation stops at the first pass that changes nothing, and
+    is complete if that pass deferred nothing: every class is at most `cap`
+    deep, so the same pass with a higher cap would change the graph exactly
+    when this one deferred something.
     """
     if depth < 0:
         raise FreeModelError("depth must be >= 0")
@@ -520,7 +491,6 @@ def saturate(theory: Theory, ctx: Context, constraint: Formula, depth: int,
     env = {name: g.add_var(name, sort) for name, sort in ctx.vars}
     assert_in_graph(g, constraint, env, None, ("premise", ()))
     cap = max([depth] + list(g.class_depth.values()))
-    budget = WorkBudget(max_work)
 
     def goal_reached() -> bool:
         return goal is not None and holds_in_graph(
@@ -528,18 +498,15 @@ def saturate(theory: Theory, ctx: Context, constraint: Formula, depth: int,
 
     if goal_reached():
         return g, False, False, True
+    left = max_work
     while True:
-        changed, _ = saturation_pass(theory, g, cap, budget)
+        changed, deferred, left = saturation_pass(theory, g, cap, left)
         if goal_reached():
-            return g, False, budget.exhausted, True
-        if not changed or budget.exhausted:
-            break
-    if budget.exhausted:
-        return g, False, True, False
-    probe = g.copy()
-    changed, deferred = saturation_pass(theory, probe, cap + 1, budget)
-    saturated = not changed and not deferred and not budget.exhausted
-    return g, saturated, budget.exhausted, False
+            return g, False, left < 0, True
+        if left < 0:
+            return g, False, True, False
+        if not changed:
+            return g, not deferred, False, False
 
 
 @dataclass

@@ -339,12 +339,6 @@ FIRST_SLICE = 16       # the first saturation gets max_work // FIRST_SLICE
 FIRST_MODELS = 64      # models tried between the first and the full saturation
 
 
-def _models(theory: Theory, size: int):
-    """`iter_models`, looked up only when first iterated: a call that
-    searches no model adds no entry to the model cache."""
-    yield from iter_models(theory, size)
-
-
 def _countermodel(models, seq: Sequent) -> Refuted | None:
     """The first model where `seq` fails, with `holds`' witness: the first
     failing tuple in carrier order."""
@@ -368,12 +362,13 @@ def prove(theory: Theory, seq: Sequent, depth: int = 4, model_size: int = 4,
 
     With `model_size > 0` saturation first gets `max_work // FIRST_SLICE`.
     A slice that does not run out of budget is final: the full run would
-    take the same steps.  Otherwise, unless the slice reached the goal, the
-    first FIRST_MODELS models are searched for a countermodel; then
-    saturation starts afresh with the whole budget, and the rest of the
-    same model iterator is searched after it.  So no model is enumerated
-    twice, a Proved carries the full run's trace, and the countermodel is
-    the first in enumeration order.
+    take the same steps.  That the term model is saturated is read from the
+    slice's last pass, at no cost to the budget.  Otherwise, unless the
+    slice reached the goal, the first FIRST_MODELS models are searched for
+    a countermodel; then saturation starts afresh with the whole budget,
+    and the rest of the same model iterator is searched after it.  So no
+    model is enumerated twice, a Proved carries the full run's trace, and
+    the countermodel is the first in enumeration order.
     """
     if depth < 0:
         raise PhlError("depth budget must be >= 0")
@@ -384,7 +379,7 @@ def prove(theory: Theory, seq: Sequent, depth: int = 4, model_size: int = 4,
         raise PhlError("ill-formed sequent: " + "; ".join(map(str, diags)))
     if max_work is None:
         max_work = DEFAULT_WORK_BUDGET
-    models = _models(theory, model_size)
+    models = iter_models(theory, model_size)
 
     def run(work: int):
         return saturate(theory, seq.context, seq.premise, depth,

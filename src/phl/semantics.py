@@ -871,8 +871,8 @@ def enumerate_models(theory: Theory, max_size: int) -> tuple:
 
 def iter_models(theory: Theory, max_size: int):
     """The models of `enumerate_models`, in the same order and the same
-    objects, enumerated only as far as the caller iterates."""
-    return iter(_models_cached(theory, max_size))
+    objects; nothing is looked up or enumerated before the caller iterates."""
+    yield from _models_cached(theory, max_size)
 
 
 # ---------------------------------------------------------------------------

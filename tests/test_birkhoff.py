@@ -367,6 +367,14 @@ class TestClosureOperators:
         _, rep = close_P(ModelUniverse(pos, [chain2], size_cap=3), 2)
         assert rep.skipped == ("chain2xchain2",)
 
+    def test_negative_size_cap_rejected(self, pos, chain2):
+        with pytest.raises(BirkhoffError, match="size cap must be >= 0"):
+            ModelUniverse(pos, [chain2], size_cap=-1)
+        with pytest.raises(BirkhoffError, match="size cap must be >= 0"):
+            definability_check(pos, [], [chain2], size_cap=-1)
+        _, rep = close_P(ModelUniverse(pos, [chain2], size_cap=0), 2)
+        assert rep.added == () and len(rep.skipped) == 3
+
     def test_close_Scl_monoid(self, mon, z4):
         u = ModelUniverse(mon, [z4])
         out, rep = close_Scl(u)

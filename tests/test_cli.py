@@ -547,6 +547,16 @@ class TestBirkhoff:
         assert (code, out) == (11, "")
         assert err == "error: duplicate pool model name 'chain2'\n"
 
+    def test_negative_size_cap_exit_11(self, files, capsys, tmp_path):
+        pool = tmp_path / "pool"
+        pool.mkdir()
+        (pool / "chain2.model").write_text(CHAIN2)
+        code, out, err = run(capsys, "birkhoff", files / "pos.phl",
+                             "--pool", pool, "--judgments", files / "pos.phl",
+                             "--size-cap", -1)
+        assert (code, out) == (11, "")
+        assert err == "error: size cap must be >= 0\n"
+
     def test_pool_member_not_a_model(self, files, capsys, tmp_path):
         pool = tmp_path / "pool"
         pool.mkdir()

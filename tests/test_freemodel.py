@@ -1,4 +1,4 @@
-import functools
+import copy
 import itertools
 import random
 
@@ -6,7 +6,7 @@ import pytest
 
 from phl import freemodel
 from phl.freemodel import (
-    FreeModelError, TermGraph, WorkBudget, assert_in_graph, free_algebra,
+    FreeModelError, TermGraph, assert_in_graph, free_algebra,
     repn_coequalizer, repn_morphism, representing_model, saturate,
     saturation_pass, yoneda_check,
 )
@@ -109,6 +109,16 @@ class TestRepresentingModel:
         p = representing_model(pos, ctx, phi, 2, max_work=0)
         assert not p.status.saturated
 
+    def test_last_pass_certifies_saturation(self, pos):
+        # two passes over one class take 3 instances each, and the second
+        # changes nothing and defers nothing
+        ctx, phi = parse_formula_in_context("[x0:*] true", pos.signature)
+        for max_work, flags in ((7, (True, False)), (6, (True, False)),
+                                (5, (False, True))):
+            _, saturated, exhausted, _ = saturate(pos, ctx, phi, 1,
+                                                  max_work=max_work)
+            assert (saturated, exhausted) == flags, max_work
+
     def test_no_work_budget_selects_the_default(self, mon, monkeypatch):
         ctx, phi = parse_formula_in_context("[x:*] true", mon.signature)
         _, _, exhausted, _ = saturate(mon, ctx, phi, 2, max_work=None)
@@ -136,7 +146,9 @@ class TestRepresentingModel:
 # canonical-class check and one `find` per child for every instance.  The
 # compiled pass must try the same instances in the same order and leave the
 # same graph, trace and budget, and `assert_in_graph` must seed the same
-# graph as `reference_write`.
+# graph as `reference_write`.  `saturate`'s flags are checked against the
+# probe that certified saturation before `saturate` read it from its last
+# pass: the reference pass once more, with the cap raised by one, on a copy.
 
 def reference_read(g, atoms, vals):
     table, facts = g.table, g.facts
@@ -197,6 +209,14 @@ def reference_write(g, atoms, vals, cap, event):
     return deferred
 
 
+class Budget:
+    """The work budget of `reference_pass`, spent one instance at a time."""
+
+    def __init__(self, remaining):
+        self.remaining = remaining
+        self.exhausted = False
+
+
 def reference_spend(budget):
     budget.remaining -= 1
     if budget.remaining < 0:
@@ -225,16 +245,16 @@ def reference_pass(theory, g, cap, budget, skipped):
     return g.stamp() != before, deferred
 
 
-def graph_state(g, budget):
-    return (g.stamp(), g.table, g.facts, g.class_depth, g.trace,
-            budget.remaining, budget.exhausted)
+def graph_state(g):
+    return (g.stamp(), g.table, g.facts, g.class_depth, g.trace)
 
 
 def lockstep(theory, seq, depth, max_work, skipped):
     """Run `saturate`'s pass loop, without a goal, with both passes side by
-    side, after seeding with `reference_write` and `assert_in_graph`; return
-    how the run ended."""
-    graphs, budgets = [], []
+    side, after seeding with `reference_write` and `assert_in_graph`; then
+    check `saturate` against that loop's graph and against the probe.
+    Return how the run ended."""
+    graphs = []
     for seed in ("reference", "compiled"):
         g = TermGraph(theory.signature)
         env = {name: g.add_var(name, sort) for name, sort in seq.context.vars}
@@ -247,30 +267,33 @@ def lockstep(theory, seq, depth, max_work, skipped):
         else:
             assert not assert_in_graph(g, seq.premise, env, None, ("premise", ()))
         graphs.append(g)
-        budgets.append(WorkBudget(max_work))
-    assert graph_state(graphs[0], budgets[0]) == \
-        graph_state(graphs[1], budgets[1]), (seq, "seed")
+    assert graph_state(graphs[0]) == graph_state(graphs[1]), (seq, "seed")
     cap = max([depth] + list(graphs[0].class_depth.values()))
-    ref = functools.partial(reference_pass, skipped=skipped)
+    budget, left = Budget(max_work), max_work
     passes = 0
     while True:
-        flags = [f(theory, g, cap, b) for f, g, b in
-                 zip((ref, saturation_pass), graphs, budgets)]
+        flags = reference_pass(theory, graphs[0], cap, budget, skipped)
+        changed, deferred, left = saturation_pass(theory, graphs[1], cap, left)
         passes += 1
-        assert flags[0] == flags[1], (seq, passes)
-        assert graph_state(graphs[0], budgets[0]) == \
-            graph_state(graphs[1], budgets[1]), (seq, passes)
-        if not flags[0][0] or budgets[0].exhausted:
+        assert flags == (changed, deferred), (seq, passes)
+        assert max(left, -1) == budget.remaining, (seq, passes)
+        assert graph_state(graphs[0]) == graph_state(graphs[1]), (seq, passes)
+        if not changed or budget.exhausted:
             break
-    if budgets[0].exhausted:
+    g, saturated, exhausted, reached = saturate(
+        theory, seq.context, seq.premise, depth, max_work=max_work)
+    assert not reached and graph_state(g) == graph_state(graphs[0]), seq
+    if budget.exhausted:
+        assert (saturated, exhausted) == (False, True), seq
         return "exhausted"
-    probes = [g.copy() for g in graphs]
-    flags = [f(theory, g, cap + 1, b) for f, g, b in
-             zip((ref, saturation_pass), probes, budgets)]
-    assert flags[0] == flags[1], (seq, "probe")
-    assert graph_state(probes[0], budgets[0]) == \
-        graph_state(probes[1], budgets[1]), (seq, "probe")
-    return "probe exhausted" if budgets[0].exhausted else "probed"
+    probe = copy.deepcopy(graphs[0])
+    probed = reference_pass(theory, probe, cap + 1, budget, skipped)
+    if budget.exhausted:
+        # the probe alone ran out: the last pass still settles it
+        assert (saturated, exhausted) == (not deferred, False), seq
+        return "probe exhausted"
+    assert (saturated, exhausted) == (probed == (False, False), False), seq
+    return "probed"
 
 
 class TestSaturationPass:
@@ -373,7 +396,7 @@ axiom low [x:*, y:*] r(x, y) |- def(f(x)) /\\ x = y;
         env = {"a": g.add_var("a", "*")}
         assert_in_graph(g, phi, env, None, ("premise", ()))
         assert g.class_depth[2] == 2 and g.stamp() == (5, 5, 2)
-        assert saturation_pass(theory, g, 2) == (True, True)
+        assert saturation_pass(theory, g, 2, 100) == (True, True, 75)
         fx = App("f", (App("h", (App("h", (Var("a"),)),)),))
         assert g.class_depth[g.lookup(fx, env)] == 2
 

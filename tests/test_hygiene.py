@@ -75,19 +75,33 @@ def parsed(path: Path) -> ast.Module:
     return ast.parse(path.read_text())
 
 
-def unreferenced_private(module: Path, callers) -> list[str]:
+def methods(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, method) for each method of the module's classes, dunder
+    methods aside."""
+    return [(c.name, m.name) for c in ast.walk(tree)
+            if isinstance(c, ast.ClassDef) for m in c.body
+            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (m.name.startswith("__") and m.name.endswith("__"))]
+
+
+def unreferenced_definitions(module: Path, callers) -> list[str]:
     """Private top-level definitions of `module` read neither by the rest of
-    the module nor by another caller file.  A definition read only by its own
-    body counts as unread."""
+    the module nor by another caller file, where a definition read only by
+    its own body counts as unread; and `Class.method` for each method of
+    the module whose name no caller file, the module included, reads."""
     tree = parsed(module)
     defs = private_definitions(tree)
     read = names_read(n for n in tree.body if n not in defs.values())
     for path in callers:
         if path != module:
             read |= names_read([parsed(path)])
-    return sorted(name for name, node in defs.items() if name not in read
-                  and name not in names_read(d for d in defs.values()
-                                             if d is not node))
+    dead = [name for name, node in defs.items() if name not in read
+            and name not in names_read(d for d in defs.values()
+                                       if d is not node)]
+    read |= names_read([tree])
+    dead += [f"{cls}.{name}" for cls, name in methods(tree)
+             if name not in read]
+    return sorted(dead)
 
 
 def test_detects_unreferenced_private(tmp_path):
@@ -96,15 +110,22 @@ def test_detects_unreferenced_private(tmp_path):
                       "def _used():\n    pass\n"
                       "def _imported():\n    pass\n"
                       "class _Attr:\n    pass\n"
+                      "class Box:\n"
+                      "    def __init__(self):\n        self.opened()\n"
+                      "    def opened(self):\n        pass\n"
+                      "    def unread(self):\n        pass\n"
+                      "    @property\n    def size(self):\n        pass\n"
                       "def public():\n    return _used()\n")
     caller = tmp_path / "c.py"
-    caller.write_text("from m import _imported\nimport m\nm._Attr\n")
-    assert unreferenced_private(module, [module, caller]) == ["_dead"]
+    caller.write_text("from m import _imported\nimport m\nm._Attr\n"
+                      "m.Box().size\n")
+    assert unreferenced_definitions(module, [module, caller]) == \
+        ["Box.unread", "_dead"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unreferenced_private_definitions(path):
-    assert unreferenced_private(path, CALLERS) == []
+    assert unreferenced_definitions(path, CALLERS) == []
 
 
 # `phl.cli` imports each engine module inside the subcommand that runs it, so

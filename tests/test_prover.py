@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from phl import prover
+from phl import prover, semantics
 from phl.prover import (
     AxiomRule, CutRule, Derivation, EConjRule, EqRule, IConjRule, IdRule,
     Proved, Refuted, ReflRule, RuleError, SEqRule, SFunRule, SRelRule,
@@ -286,6 +286,17 @@ class TestProve:
         assert isinstance(r, UnknownVerdict)
         assert r.reason.startswith("saturation truncated at depth 1")
 
+    def test_saturation_certified_within_the_work_budget(self, pos):
+        # two passes take 14 instances each; the second changes nothing and
+        # defers nothing, which certifies the term model with no more work
+        seq = parse_sequent("[x:*, y:*] true |- leq(x,y)", pos.signature)
+        r = prove(pos, seq, depth=1, model_size=0, max_work=28)
+        assert isinstance(r, Refuted) and r.witness == ("x", "y")
+        assert r.note == "generic tuple of the saturated term model"
+        r = prove(pos, seq, depth=1, model_size=0, max_work=27)
+        assert r.reason.startswith(
+            "work budget of 27 axiom instances exhausted")
+
     def test_unknown_names_the_work_budget(self, pos):
         seq = parse_sequent("[x:*, y:*, z:*] leq(x,y) /\\ leq(y,z) |- leq(x,z)",
                             pos.signature)
@@ -417,6 +428,13 @@ class TestSchedule:
         assert all(kinds[kind] for kind in (
             "Proved", "Refuted", "Unknown", "same term model",
             "term model to enumerated")), kinds
+
+    def test_slice_that_decides_enumerates_no_model(self, mon):
+        # the models are looked up only when the first one is needed
+        semantics._models_cached.cache_clear()
+        seq = parse_sequent("[x:*] true |- mul(x,e) = x", mon.signature)
+        assert isinstance(prove(mon, seq, depth=2, model_size=4), Proved)
+        assert semantics._models_cached.cache_info().currsize == 0
 
     @pytest.mark.parametrize("theory, text, options, budgets, verdict", [
         # the slice runs out and the 10th model is a countermodel
