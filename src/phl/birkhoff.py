@@ -22,126 +22,227 @@ class BirkhoffError(PhlError):
 
 
 # ---------------------------------------------------------------------------
+# canonical forms
+
+@dataclass(frozen=True)
+class CanonicalForm:
+    """What `canonical_form` finds for a structure.
+
+    `certificate` is the signature, the carrier sizes and the table entries
+    of the structure's view relabelled by `labelling` and sorted: two
+    structures have equal certificates exactly when they are isomorphic.
+    `labelling[i]` is the canonical position of element i of the view.
+    Each generator g is an automorphism sending element i to element
+    `g[i]`, and together they generate the automorphism group.  `nodes` and
+    `leaves` count the search tree's nodes and leaves."""
+    certificate: tuple
+    labelling: tuple[int, ...]
+    generators: tuple[tuple[int, ...], ...]
+    nodes: int
+    leaves: int
+
+
+def canonical_form(m: PartialStructure) -> CanonicalForm:
+    """The canonical form of m (cached on the structure), found by
+    individualization-refinement with automorphism pruning (McKay &
+    Piperno, "Practical graph isomorphism, II", 2014)."""
+    form = m.__dict__.get("_canonical_form")
+    if form is None:
+        form = _CanonicalSearch(m).run()
+        object.__setattr__(m, "_canonical_form", form)
+    return form
+
+
+class _FirstLeafAgain(Exception):
+    """A leaf equal to the first leaf was reached."""
+
+
+class _CanonicalSearch:
+    """One search tree over a structure's view.
+
+    A node is an ordered partition of the elements, held as each element's
+    cell number and made equitable by `refine`.  Its children individualize
+    each element of its target cell, the first cell with two elements or
+    more; a leaf is a discrete partition, read as a labelling.  Refinement
+    and the target cell depend on sorts and table entries only, never on
+    element names, so isomorphic structures have the same leaves up to
+    relabelling, and the least relabelled entry list over the leaves is the
+    certificate.
+
+    The first path individualizes the least element of each target cell.
+    The search then backs up along it from the bottom and searches a
+    sibling subtree only when no automorphism found so far that fixes the
+    path above maps the sibling to an earlier one; inside the subtrees the
+    same rule prunes.  A leaf equal to the first leaf gives an automorphism
+    mapping its subtree onto the first path's, so the search jumps back to
+    the first path; a leaf equal to the best leaf gives one too.  At each
+    level of the first path the search goes on until the automorphisms
+    found fixing the path above join every sibling in the first element's
+    orbit to it, so they generate the whole group."""
+
+    def __init__(self, m: PartialStructure):
+        view, sig = m.view, m.signature
+        symbol = {d.name: k for k, d in enumerate(sig.functions + sig.relations)}
+        self.n = len(view.elems)
+        self.entries = [(symbol[name], ids) for name, ids in view.funcs + view.rels]
+        sizes = tuple(len(m.carrier(s)) for s in sig.sorts)
+        self.head = (sig, sizes)
+        self.start = [c for c, size in enumerate(x for x in sizes if x)
+                      for _ in range(size)]
+        self.generators: list[tuple[int, ...]] = []
+        self.nodes, self.leaves = 1, 0     # the root is a node
+
+    def refine(self, colour: list[int], cells: int) -> tuple[list[int], int]:
+        """The coarsest equitable partition finer than `colour`: each round
+        splits every cell by the multiset of (position, symbol, cells of the
+        entry) over the entries an element occurs in, and orders the parts
+        of a cell by those multisets."""
+        n, entries = self.n, self.entries
+        while cells < n:
+            feats: list[list] = [[] for _ in colour]
+            for k, ids in entries:
+                key = (k, *[colour[i] for i in ids])
+                for pos, e in enumerate(ids):
+                    feats[e].append((pos, key))
+            keys = [(c, *sorted(f)) for c, f in zip(colour, feats)]
+            order = sorted(set(keys))
+            if len(order) == cells:
+                break
+            rank = {key: r for r, key in enumerate(order)}
+            colour = [rank[key] for key in keys]
+            cells = len(order)
+        return colour, cells
+
+    def child(self, colour: list[int], cells: int, v: int) -> tuple[list[int], int]:
+        """The node that individualizes v: v's cell splits into v, then the
+        rest."""
+        self.nodes += 1
+        c = colour[v]
+        return self.refine([x + (x > c or x == c and e != v)
+                            for e, x in enumerate(colour)], cells + 1)
+
+    @staticmethod
+    def target(colour: list[int], cells: int) -> list[int]:
+        counts = [0] * cells
+        for c in colour:
+            counts[c] += 1
+        c = next(c for c, k in enumerate(counts) if k > 1)
+        return [e for e, x in enumerate(colour) if x == c]
+
+    def least_in_orbit(self, w: int, fixed: list[int]) -> bool:
+        """Whether no automorphism generated by those found so far that fix
+        every element of `fixed` maps w to a smaller element."""
+        gens = [g for g in self.generators if all(g[v] == v for v in fixed)]
+        orbit, todo = {w}, [w]
+        for x in todo:
+            for g in gens:
+                y = g[x]
+                if y < w:
+                    return False
+                if y not in orbit:
+                    orbit.add(y)
+                    todo.append(y)
+        return True
+
+    def leaf(self, lab: list[int]) -> tuple:
+        self.leaves += 1
+        return tuple(sorted((k, *[lab[i] for i in ids]) for k, ids in self.entries))
+
+    def run(self) -> CanonicalForm:
+        colour, cells = self.refine(self.start, len(set(self.start)))
+        path = []
+        while cells < self.n:
+            cell = self.target(colour, cells)
+            path.append((colour, cells, cell))
+            colour, cells = self.child(colour, cells, cell[0])
+        self.first = self.best = (self.leaf(colour), colour)
+        for level in range(len(path) - 1, -1, -1):
+            colour, cells, cell = path[level]
+            fixed = [p[2][0] for p in path[:level]]
+            for w in cell[1:]:
+                if self.least_in_orbit(w, fixed):
+                    try:
+                        self.search(*self.child(colour, cells, w), fixed + [w])
+                    except _FirstLeafAgain:
+                        pass
+        cert, lab = self.best
+        return CanonicalForm((*self.head, cert), tuple(lab),
+                             tuple(self.generators), self.nodes, self.leaves)
+
+    def search(self, colour: list[int], cells: int, fixed: list[int]) -> None:
+        if cells == self.n:
+            self.reached(colour)
+            return
+        for w in self.target(colour, cells):
+            if self.least_in_orbit(w, fixed):
+                self.search(*self.child(colour, cells, w), fixed + [w])
+
+    def reached(self, lab: list[int]) -> None:
+        cert = self.leaf(lab)
+        if cert == self.first[0]:
+            self.generators.append(_mapping(lab, self.first[1]))
+            raise _FirstLeafAgain
+        if cert == self.best[0]:
+            self.generators.append(_mapping(lab, self.best[1]))
+        elif cert < self.best[0]:
+            self.best = (cert, lab)
+
+
+def _mapping(lab, onto) -> tuple[int, ...]:
+    """The map sending the element at each position of labelling `lab` to
+    the element at the same position of labelling `onto`."""
+    at = [0] * len(onto)
+    for e, p in enumerate(onto):
+        at[p] = e
+    return tuple(at[p] for p in lab)
+
+
+# ---------------------------------------------------------------------------
 # universes of models up to isomorphism
 
-def _element_invariants(m: PartialStructure) -> dict[str, dict[str, int]]:
-    """Iteratively refined isomorphism-invariant colors per element (cached
-    on the structure), over the table entries of the structure's view.  Each
-    of three rounds walks the entries once and gives every element an entry
-    mentions the feature (symbol, positions of the element, colors at all
-    positions)."""
-    cached = m.__dict__.get("_invariants")
-    if cached is not None:
-        return cached
-    elems = m.view.elems
-    entries = m.view.funcs + m.view.rels
-    color = [0] * len(elems)
-    for _ in range(3):
-        feats: list[list] = [[] for _ in elems]
-        for sym, ids in entries:
-            colors = tuple(color[i] for i in ids)
-            for e in set(ids):
-                where = tuple(k for k, i in enumerate(ids) if i == e)
-                feats[e].append((sym, where, colors))
-        new = [(c, tuple(sorted(fs))) for c, fs in zip(color, feats)]
-        # compress colors to ints canonically, so that isomorphic structures
-        # get identical palettes
-        palette = {c: i for i, c in enumerate(sorted(set(new)))}
-        color = [palette[c] for c in new]
-    inv: dict[str, dict[str, int]] = {s: {} for s in m.signature.sorts}
-    for (s, a), c in zip(elems, color):
-        inv[s][a] = c
-    object.__setattr__(m, "_invariants", inv)
-    return inv
-
-
-def iso_key(m: PartialStructure) -> tuple:
-    """Isomorphism invariant: equal keys are necessary for isomorphism
-    (cached on the structure)."""
-    key = m.__dict__.get("_iso_key")
-    if key is None:
-        inv = _element_invariants(m)
-        key = (tuple(len(m.carrier(s)) for s in m.signature.sorts),
-               tuple(len(m.func_table(f.name)) for f in m.signature.functions),
-               tuple(len(m.rel_table(r.name)) for r in m.signature.relations),
-               tuple(tuple(sorted(inv[s].values())) for s in m.signature.sorts))
-        object.__setattr__(m, "_iso_key", key)
-    return key
-
-
 def find_iso(m: PartialStructure, n: PartialStructure):
-    """A pair of mutually inverse homomorphisms, found as an injective hom
-    m -> n sending each element to one of the same invariant colour; None
-    when the structures are not isomorphic.
-
-    Only the forward map is checked as it grows.  Equal iso keys mean equal
-    carrier and table sizes, so an injective hom m -> n is onto every carrier
-    and sends the entries of each table of m onto those of n: its inverse is
-    a hom as well.  The final check, `_onto_entries`, guards that argument."""
-    if m.signature != n.signature or iso_key(m) != iso_key(n):
+    """A pair of mutually inverse homomorphisms m -> n and n -> m, or None
+    when the structures are not isomorphic: with equal certificates, each
+    element of m goes to the element of n at the same canonical position."""
+    cm, cn = canonical_form(m), canonical_form(n)
+    if cm.certificate != cn.certificate:
         return None
-    inv_m = _element_invariants(m)
-    inv_n = _element_invariants(n)
-    restrict = {}
-    for s in m.signature.sorts:
-        same_colour: dict[tuple, set[str]] = {}
-        for b in n.carrier(s):
-            same_colour.setdefault(inv_n[s][b], set()).add(b)
-        restrict[s] = {a: same_colour[inv_m[s][a]] for a in m.carrier(s)}
-    h = exists_hom(m, n, restrict=restrict, injective=True)
-    if h is None or not _onto_entries(h):
-        return None
-    hinv = Homomorphism("iso_inv", n, m, {s: {b: a for a, b in t.items()}
-                                          for s, t in h.maps.items()})
-    return Homomorphism("iso", m, n, h.maps), hinv
-
-
-def _onto_entries(h: Homomorphism) -> bool:
-    """Whether an injective hom h: m -> n is onto the elements of n and every
-    table entry of n's view is the image under h of an entry of m's: exactly
-    when the inverse of h is a hom n -> m."""
-    vm, vn = h.source.view, h.target.view
-    number = {e: i for i, e in enumerate(vn.elems)}
-    image = [number[(s, h.maps[s][a])] for s, a in vm.elems]
-    if len(set(image)) != len(vn.elems):
-        return False
-
-    def images(entries):
-        return {(name, tuple(image[i] for i in args)) for name, args in entries}
-
-    return images(vm.funcs).issuperset(vn.funcs) and \
-        images(vm.rels).issuperset(vn.rels)
+    em, en = m.view.elems, n.view.elems
+    maps = {s: {} for s in m.signature.sorts}
+    for i, j in enumerate(_mapping(cm.labelling, cn.labelling)):
+        (s, a), (_, b) = em[i], en[j]
+        maps[s][a] = b
+    return (Homomorphism("iso", m, n, maps),
+            Homomorphism("iso_inv", n, m, {s: {b: a for a, b in t.items()}
+                                           for s, t in maps.items()}))
 
 
 def fingerprint(m: PartialStructure) -> tuple:
     """Isomorphism-invariant sorting key for deterministic merges."""
-    sizes, fsizes, rsizes, _ = iso_key(m)
-    return (sum(sizes), sizes, fsizes, rsizes, m.name)
+    sig = m.signature
+    sizes = tuple(len(m.carrier(s)) for s in sig.sorts)
+    return (sum(sizes), sizes,
+            tuple(len(m.func_table(f.name)) for f in sig.functions),
+            tuple(len(m.rel_table(r.name)) for r in sig.relations), m.name)
 
 
-# An iso index maps iso_key to the structures with that key.  Every test of
-# "is this new up to iso?" goes through one, so find_iso only ever compares
-# structures whose keys agree.
+# An iso index maps the certificate of each structure it holds to it, so
+# "is this new up to iso?" is one dict lookup.
 
-def _index(models) -> dict[tuple, list[PartialStructure]]:
-    index: dict[tuple, list[PartialStructure]] = {}
-    for m in models:
-        index.setdefault(iso_key(m), []).append(m)
-    return index
+def _index(models) -> dict[tuple, PartialStructure]:
+    return {canonical_form(m).certificate: m for m in models}
 
 
 def _has_iso(index: dict, m: PartialStructure) -> bool:
-    for n in index.get(iso_key(m), ()):
-        if find_iso(m, n) is not None:
-            return True
-    return False
+    return canonical_form(m).certificate in index
 
 
 def _add_new(index: dict, m: PartialStructure) -> bool:
     """Index m unless it is isomorphic to an indexed structure."""
-    if _has_iso(index, m):
+    cert = canonical_form(m).certificate
+    if cert in index:
         return False
-    index.setdefault(iso_key(m), []).append(m)
+    index[cert] = m
     return True
 
 
@@ -188,7 +289,7 @@ class ModelUniverse:
         are checked, and the members come out in `iso_collapse` order."""
         added, skipped = [], []
         new = list(self.models)
-        index = _index(new)
+        index = dict(self.index)
         for label, m in candidates:
             if m is None:
                 skipped.append(label)
@@ -217,15 +318,18 @@ SUBMODEL_ENUM_CAP = 14
 
 
 def _closed_submodels(models):
-    """("member|size", closed submodel) for each distinct closed submodel of
-    each member, in the order of `morphology.closed_submodels`; (member,
-    None) for a member too large to enumerate its subsets."""
+    """("member|size", submodel, first) for each distinct closed subset of
+    each member, in the order of `morphology.closed_submodels` under the
+    member's automorphisms: the submodel is the one built for the first
+    closed subset of its orbit, and `first` tells whether this subset is
+    that one; (member, None, True) for a member too large to enumerate its
+    subsets."""
     for b in models:
         if b.size() > SUBMODEL_ENUM_CAP:
-            yield b.name, None
+            yield b.name, None, True
             continue
-        for sub in closed_submodels(b):
-            yield f"{b.name}|{sub.size()}", sub
+        for _, sub, first in closed_submodels(b, canonical_form(b).generators):
+            yield f"{b.name}|{sub.size()}", sub, first
 
 
 def close_P(universe: ModelUniverse, arity_cap: int = 2) -> tuple[ModelUniverse, ClosureReport]:
@@ -237,8 +341,11 @@ def close_P(universe: ModelUniverse, arity_cap: int = 2) -> tuple[ModelUniverse,
 
 def close_Scl(universe: ModelUniverse) -> tuple[ModelUniverse, ClosureReport]:
     """Add every closed submodel of every member; members too large for
-    subset enumeration are skipped and reported."""
-    return universe.grow(_closed_submodels(universe.models))
+    subset enumeration are skipped and reported.  A closed submodel that
+    an automorphism of its member maps onto an earlier one is isomorphic to
+    it, so only the first of each orbit is a candidate."""
+    return universe.grow((label, sub) for label, sub, first
+                         in _closed_submodels(universe.models) if first)
 
 
 def _retract_exists(m: PartialStructure, n: PartialStructure,
@@ -305,9 +412,11 @@ def _pool_growth_witnesses(closure: ModelUniverse, r_added, pool,
         return ()
     max_pool = max(n.size() for n in pool)
     candidates = itertools.chain(
-        _products(closure.theory.signature, closure.models, arity_cap, max_pool),
-        _closed_submodels(m for m in closure.models if m.name in r_added))
-    reached = _index(m for _, m in candidates if m is not None)
+        (m for _, m in _products(closure.theory.signature, closure.models,
+                                 arity_cap, max_pool)),
+        (sub for _, sub, first in _closed_submodels(
+            b for b in closure.models if b.name in r_added) if first))
+    reached = _index(m for m in candidates if m is not None)
     return tuple(n.name for n in missing if _has_iso(reached, n))
 
 
@@ -361,11 +470,19 @@ def definability_check(theory: Theory, judgments, pool, depth: int = 4,
     failures.extend(m.name for m in after_p.models if violates(m))
 
     def judged(candidates):
-        """Judge every closed submodel; keep those no larger than the pool."""
-        for label, sub in candidates:
-            if sub is not None and violates(sub):
-                failures.append(label)
-            if sub is None or sub.size() <= max_pool:
+        """Judge every closed submodel, each orbit's first one with `holds`
+        and the others by its verdict, since validity is invariant under
+        isomorphism; keep the first ones no larger than the pool."""
+        # A copy comes after its orbit's first subset in the scan of one
+        # member, which holds the submodel meanwhile, so its id names it.
+        verdicts: dict[int, bool] = {}
+        for label, sub, first in candidates:
+            if sub is not None:
+                if first:
+                    verdicts[id(sub)] = violates(sub)
+                if verdicts[id(sub)]:
+                    failures.append(label)
+            if first and (sub is None or sub.size() <= max_pool):
                 yield label, sub
 
     after_s, rs = after_p.grow(judged(_closed_submodels(after_p.models)))

@@ -424,13 +424,13 @@ def holds_in_graph(g: TermGraph, f: Formula, env: dict[str, int]) -> bool:
     return run(g, pools, 1, None, None) is not None
 
 
-def assert_in_graph(g: TermGraph, f: Formula, env: dict[str, int],
-                    cap: int | None, event: TraceEvent) -> bool:
-    """Drive a formula instance into the graph; True if some atom was
-    deferred for exceeding the depth budget (None: no budget)."""
+def assert_in_graph(g: TermGraph, f: Formula, env: dict[str, int]) -> None:
+    """Drive a formula instance into the graph with no depth cap, recording
+    each merge and fact as the seeded constraint's `("premise", ())`
+    event."""
     run = _compiled(flatten(tuple(env), TRUE, f), len(env), g.sig)
     pools = [(g.find(i),) for i in env.values()]
-    return bool(run(g, pools, 1, math.inf if cap is None else cap, None, event))
+    run(g, pools, 1, math.inf, None, ("premise", ()))
 
 
 DEFAULT_WORK_BUDGET = 500_000
@@ -489,7 +489,7 @@ def saturate(theory: Theory, ctx: Context, constraint: Formula, depth: int,
         raise FreeModelError("work budget must be >= 0")
     g = TermGraph(theory.signature)
     env = {name: g.add_var(name, sort) for name, sort in ctx.vars}
-    assert_in_graph(g, constraint, env, None, ("premise", ()))
+    assert_in_graph(g, constraint, env)
     cap = max([depth] + list(g.class_depth.values()))
 
     def goal_reached() -> bool:

@@ -105,6 +105,22 @@ class _ClosureIndex:
         return PartialStructure(f"{b.name}_sub", b.signature, carriers, funcs, rels)
 
 
+def _mask_permutation(perm) -> Callable[[int], int]:
+    """The map on `_ClosureIndex` masks that sends each element i of the
+    view to element perm[i]."""
+    top = len(perm) - 1
+    image = [1 << (top - perm[top - j]) for j in range(len(perm))]
+
+    def apply(mask: int) -> int:
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= image[low.bit_length() - 1]
+            mask ^= low
+        return out
+    return apply
+
+
 def closed_submodel_generated(b: PartialStructure,
                               subset: dict[str, set[str]]) -> tuple[PartialStructure, Homomorphism]:
     """Smallest closed submodel of b containing the subset: the least fixed
@@ -129,17 +145,38 @@ def closed_submodel_generated(b: PartialStructure,
     return sub, incl
 
 
-def closed_submodels(b: PartialStructure):
-    """Each distinct closed submodel of b, at its first occurrence when the
-    subsets of b are visited as the numbers 0 .. 2^n - 1, the first element
-    of the first sort being the most significant bit."""
+def closed_submodels(b: PartialStructure, generators):
+    """(closed, sub, first) for each distinct closed subset of b, at its
+    first occurrence when the subsets are visited as the numbers 0 .. 2^n -
+    1, the first element of the first sort being the most significant bit;
+    `closed` is the subset as such a number.
+
+    Each generator g is an automorphism of b, sending element i of its view
+    to element g[i].  `sub` is the submodel induced on the first closed
+    subset of the orbit of `closed` under the group they generate, built
+    once and given again for the orbit's later subsets; `first` tells
+    whether `closed` is that first subset."""
     index = _ClosureIndex(b)
-    seen = set()
+    maps = [_mask_permutation(g) for g in generators]
+    seen, orbit_of = set(), {}
     for mask in range(1 << len(index.bit)):
         closed = index.close(mask)
-        if closed not in seen:
-            seen.add(closed)
-            yield index.induced(closed)
+        if closed in seen:
+            continue
+        seen.add(closed)
+        sub = orbit_of.get(closed)
+        if sub is not None:
+            yield closed, sub, False
+            continue
+        sub = orbit_of[closed] = index.induced(closed)
+        todo = [closed]
+        for x in todo:
+            for image in maps:
+                y = image(x)
+                if y not in orbit_of:
+                    orbit_of[y] = sub
+                    todo.append(y)
+        yield closed, sub, True
 
 
 def is_dense(h: Homomorphism) -> bool:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import strategies as st
 
@@ -157,8 +159,61 @@ def reference_iter_homs(m, n, restrict=None, injective=False):
 
 
 # ---------------------------------------------------------------------------
-# find_iso as it was when it checked the inverse map with check_hom: the
-# oracle for birkhoff._onto_entries
+# iso dedup as it was before canonical forms: element colours from three
+# rounds of refinement, an iso key, find_iso as an injective hom search
+# restricted to same-colour elements with check_hom on the inverse as its
+# final guard, and iso_collapse over key buckets.  The oracles for
+# birkhoff.canonical_form, find_iso and iso_collapse
+
+def element_invariants(m):
+    """Iteratively refined isomorphism-invariant colours per element (cached
+    on the structure), over the table entries of the structure's view.  Each
+    of three rounds walks the entries once and gives every element an entry
+    mentions the feature (symbol, positions of the element, colours at all
+    positions)."""
+    cached = m.__dict__.get("_oracle_invariants")
+    if cached is not None:
+        return cached
+    elems = m.view.elems
+    entries = m.view.funcs + m.view.rels
+    color = [0] * len(elems)
+    for _ in range(3):
+        feats = [[] for _ in elems]
+        for sym, ids in entries:
+            colors = tuple(color[i] for i in ids)
+            for e in set(ids):
+                where = tuple(k for k, i in enumerate(ids) if i == e)
+                feats[e].append((sym, where, colors))
+        new = [(c, tuple(sorted(fs))) for c, fs in zip(color, feats)]
+        palette = {c: i for i, c in enumerate(sorted(set(new)))}
+        color = [palette[c] for c in new]
+    inv = {s: {} for s in m.signature.sorts}
+    for (s, a), c in zip(elems, color):
+        inv[s][a] = c
+    object.__setattr__(m, "_oracle_invariants", inv)
+    return inv
+
+
+def iso_key(m):
+    """Isomorphism invariant: equal keys are necessary for isomorphism."""
+    inv = element_invariants(m)
+    return (tuple(len(m.carrier(s)) for s in m.signature.sorts),
+            tuple(len(m.func_table(f.name)) for f in m.signature.functions),
+            tuple(len(m.rel_table(r.name)) for r in m.signature.relations),
+            tuple(tuple(sorted(inv[s].values())) for s in m.signature.sorts))
+
+
+def same_colour(m, n):
+    """For each element of m, the elements of n of its colour."""
+    inv_m, inv_n = element_invariants(m), element_invariants(n)
+    restrict = {}
+    for s in m.signature.sorts:
+        by_colour = {}
+        for b in n.carrier(s):
+            by_colour.setdefault(inv_n[s][b], set()).add(b)
+        restrict[s] = {a: by_colour.get(inv_m[s][a], set()) for a in m.carrier(s)}
+    return restrict
+
 
 def inverse_is_hom(h) -> bool:
     """Whether the inverse of an injective hom is a hom, by check_hom."""
@@ -168,21 +223,130 @@ def inverse_is_hom(h) -> bool:
 
 
 def guarded_find_iso(m, n):
-    from phl import birkhoff
-    if m.signature != n.signature or birkhoff.iso_key(m) != birkhoff.iso_key(n):
+    """An isomorphism m -> n as the first injective hom that keeps colours
+    and whose inverse check_hom accepts, or None."""
+    if m.signature != n.signature or iso_key(m) != iso_key(n):
         return None
-    inv_m = birkhoff._element_invariants(m)
-    inv_n = birkhoff._element_invariants(n)
-    restrict = {}
-    for s in m.signature.sorts:
-        same_colour = {}
-        for b in n.carrier(s):
-            same_colour.setdefault(inv_n[s][b], set()).add(b)
-        restrict[s] = {a: same_colour[inv_m[s][a]] for a in m.carrier(s)}
-    h = exists_hom(m, n, restrict=restrict, injective=True)
+    h = exists_hom(m, n, restrict=same_colour(m, n), injective=True)
     if h is None or not inverse_is_hom(h):
         return None
     return h
+
+
+def oracle_iso_collapse(models):
+    """The first model of each iso class in fingerprint order, each compared
+    only with the kept models of its key."""
+    from phl.birkhoff import fingerprint
+    kept = {}
+    out = []
+    for m in sorted(models, key=fingerprint):
+        bucket = kept.setdefault(iso_key(m), [])
+        if all(guarded_find_iso(m, n) is None for n in bucket):
+            bucket.append(m)
+            out.append(m)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# closed submodels as morphology.closed_submodels found them before it took
+# automorphisms: the oracle for its orbit scan
+
+def full_mask_scan(b):
+    """(closed, submodel) for each distinct closed subset of b, at its first
+    occurrence among the masks 0 .. 2^n - 1, each submodel built."""
+    from phl.morphology import _ClosureIndex
+    index = _ClosureIndex(b)
+    seen = set()
+    for mask in range(1 << len(index.bit)):
+        closed = index.close(mask)
+        if closed not in seen:
+            seen.add(closed)
+            yield closed, index.induced(closed)
+
+
+# ---------------------------------------------------------------------------
+# automorphism groups by brute force and by Schreier-Sims: the oracles for
+# the generators of birkhoff.canonical_form
+
+def brute_force_automorphisms(m) -> int:
+    """The number of sort-preserving permutations of m's view that map its
+    table entries onto themselves."""
+    elems, view = m.view.elems, m.view
+    entries = set(view.funcs + view.rels)
+    blocks = [[i for i, (s, _) in enumerate(elems) if s == sort]
+              for sort in m.signature.sorts]
+    count = 0
+    for images in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        perm = [0] * len(elems)
+        for block, image in zip(blocks, images):
+            for i, j in zip(block, image):
+                perm[i] = j
+        if {(sym, tuple(perm[i] for i in ids)) for sym, ids in entries} == entries:
+            count += 1
+    return count
+
+
+def group_order(generators, n: int) -> int:
+    """The order of the group of permutations of range(n) (g sends i to
+    g[i]) that the generators generate, by deterministic Schreier-Sims with
+    base 0, 1, ..., n - 1."""
+    ident = tuple(range(n))
+
+    def mul(p, q):                      # p after q
+        return tuple(p[x] for x in q)
+
+    def inverse(p):
+        out = [0] * n
+        for i, x in enumerate(p):
+            out[x] = i
+        return tuple(out)
+
+    strong = [g for g in generators if g != ident]
+
+    def level_gens(i):
+        return [g for g in strong if all(g[b] == b for b in range(i))]
+
+    def transversal(i):
+        trans = {i: ident}
+        todo = [i]
+        gens = level_gens(i)
+        for x in todo:
+            for g in gens:
+                y = g[x]
+                if y not in trans:
+                    trans[y] = mul(g, trans[x])
+                    todo.append(y)
+        return trans
+
+    def sift(h, i):
+        """h reduced through levels i, i + 1, ...: (residue, level where it
+        stuck), or (identity, n)."""
+        for j in range(i, n):
+            t = transversal(j).get(h[j])
+            if t is None:
+                return h, j
+            h = mul(inverse(t), h)
+        return h, n
+
+    i = n - 1
+    while i >= 0:
+        trans = transversal(i)
+        for x, t in trans.items():
+            for s in level_gens(i):
+                h = mul(inverse(trans[s[x]]), mul(s, t))
+                residue, j = sift(h, i + 1)
+                if residue != ident:
+                    strong.append(residue)
+                    i = j + 1
+                    break
+            else:
+                continue
+            break
+        i -= 1
+    order = 1
+    for i in range(n):
+        order *= len(transversal(i))
+    return order
 
 
 def prove_saturation_first(theory, seq, depth=4, model_size=4, max_work=None):

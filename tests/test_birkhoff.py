@@ -8,23 +8,28 @@ from phl.birkhoff import (
     SUBMODEL_ENUM_CAP, BirkhoffError, ClosureReport, ComponentPoset,
     FiniteCategory,
     ModelUniverse, acc_report, close_P, close_R, close_Scl, component_diagram,
-    definability_check, find_iso, hsp_closure, iso_collapse,
+    canonical_form, definability_check, find_iso, hsp_closure, iso_collapse,
     make_finite_category, posetification,
 )
-from phl.morphology import closed_submodel_generated
+from phl.morphology import closed_submodel_generated, closed_submodels
 from phl.semantics import (
-    Homomorphism, SemanticsError, check_hom, compose_homs, enumerate_homs,
-    enumerate_models, holds, identity_hom, is_model, iter_homs, make_structure,
-    product,
+    HoldsResult, Homomorphism, SemanticsError, check_hom, compose_homs,
+    enumerate_homs, enumerate_models, enumerate_structures, holds,
+    identity_hom, is_model, make_structure, product, size_profiles,
 )
 from phl.syntax import NamedAxiom, parse_sequent
 from phl.theories import (
-    antichain_poset, chain_poset, mon_inv_theory, mon_theory, pos_theory,
-    preorder_theory, set_theory, zmod_monoid,
+    antichain_poset, cat_theory, chain_poset, mon_inv_theory, mon_theory,
+    pos_theory, preorder_theory, set_theory, zmod_monoid,
 )
 from phl.translation import U_rho_hom, make_theory_morphism
 
-from conftest import guarded_find_iso, inverse_is_hom, partial_hom_ok
+from conftest import (
+    brute_force_automorphisms, element_invariants, full_mask_scan, group_order,
+    guarded_find_iso, inverse_is_hom, iso_key, oracle_iso_collapse,
+    partial_hom_ok,
+)
+from test_morphology import seeded_members, structure_layout
 
 
 def two_chain_category():
@@ -80,8 +85,9 @@ def relabelled(m, rng, name):
 
 
 def reference_collapse(models):
-    """The first model of each iso class by a pairwise find_iso scan, in the
-    order of (size, carrier sizes, table sizes, name)."""
+    """The first model of each iso class by a pairwise scan with the iso
+    search that canonical forms replaced, in the order of (size, carrier
+    sizes, table sizes, name)."""
     def order(m):
         sizes = tuple(len(m.carrier(s)) for s in m.signature.sorts)
         return (sum(sizes), sizes,
@@ -90,13 +96,14 @@ def reference_collapse(models):
                 m.name)
     out = []
     for m in sorted(models, key=order):
-        if all(find_iso(m, n) is None for n in out):
+        if all(guarded_find_iso(m, n) is None for n in out):
             out.append(m)
     return out
 
 
 class TestIsoIndex:
-    """The iso_key-bucketed dedup against a pairwise find_iso scan."""
+    """Dedup by canonical certificates against a pairwise scan with the iso
+    search they replaced."""
 
     @pytest.mark.parametrize("theory", [preorder_theory(), mon_inv_theory()],
                              ids=["preord", "mon_inv"])
@@ -117,43 +124,44 @@ class TestIsoIndex:
             [m.name for m in reference_collapse(sample)]
         for m in mixed:
             assert u.contains_iso(m) == any(
-                find_iso(m, n) is not None for n in u.models), m.name
-
+                guarded_find_iso(m, n) is not None for n in u.models), m.name
 
     @pytest.mark.parametrize("theory", [preorder_theory(), mon_inv_theory()],
                              ids=["preord", "mon_inv"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_inverse_guard_matches_check_hom(self, theory, seed):
-        """find_iso's final guard against check_hom of the inverse, which it
-        replaced, on the corpus above: on the first injective homs between
-        structures of equal carrier sizes, and through find_iso on every
-        pair with equal keys."""
+        """find_iso's pair, which no final guard checks now, against
+        check_hom of the map and of its inverse, and against the guarded
+        search it replaced, on every pair of the corpus above with equal
+        carrier sizes."""
         rng = random.Random(seed)
         models = list(enumerate_models(theory, 3))
         mixed = models + [relabelled(m, rng, f"{rng.choice('AMZ')}{i}")
                           for i, m in enumerate(rng.sample(models, len(models) // 2))]
         non_iso = 0
         for m, n in itertools.product(mixed, repeat=2):
-            if m.carriers.keys() == n.carriers.keys() and \
-                    all(len(m.carrier(s)) == len(n.carrier(s)) for s in m.carriers):
-                for h in itertools.islice(iter_homs(m, n, injective=True), 4):
-                    assert birkhoff._onto_entries(h) == inverse_is_hom(h)
-            if birkhoff.iso_key(m) == birkhoff.iso_key(n):
-                got, want = find_iso(m, n), guarded_find_iso(m, n)
-                assert (got is None) == (want is None), (m.name, n.name)
-                non_iso += got is None
-                assert got is None or got[0].maps == want.maps
+            if any(len(m.carrier(s)) != len(n.carrier(s)) for s in m.carriers):
+                continue
+            got, want = find_iso(m, n), guarded_find_iso(m, n)
+            assert (got is None) == (want is None), (m.name, n.name)
+            if got is None:
+                non_iso += iso_key(m) == iso_key(n)
+                continue
+            h, hinv = got
+            assert check_hom(h) and check_hom(hinv) and inverse_is_hom(h)
+            assert compose_homs(hinv, h).maps == identity_hom(m).maps
         if theory.signature.relations:
             assert non_iso, "every pair with equal keys is isomorphic"
 
 
-def reference_find_iso(m, n):
+def reference_find_iso(m, n, pinned=None):
     """The two-sided search find_iso ran before: the map and its inverse are
-    both checked as they grow, and both again at the end."""
-    if m.signature != n.signature or birkhoff.iso_key(m) != birkhoff.iso_key(n):
+    both checked as they grow, and both again at the end; `pinned` gives
+    each element of m its only allowed image."""
+    if m.signature != n.signature or iso_key(m) != iso_key(n):
         return None
-    inv_m = birkhoff._element_invariants(m)
-    inv_n = birkhoff._element_invariants(n)
+    inv_m = element_invariants(m)
+    inv_n = element_invariants(n)
     todo = [(s, a) for s in m.signature.sorts for a in m.carrier(s)]
     assigned = {s: {} for s in m.signature.sorts}
     inverse = {s: {} for s in m.signature.sorts}
@@ -163,7 +171,8 @@ def reference_find_iso(m, n):
             return True
         s, a = todo[i]
         for b in n.carrier(s):
-            if b in inverse[s] or inv_n[s][b] != inv_m[s][a]:
+            if b in inverse[s] or inv_n[s][b] != inv_m[s][a] or \
+                    pinned is not None and pinned[s][a] != b:
                 continue
             assigned[s][a] = b
             inverse[s][b] = a
@@ -184,8 +193,9 @@ def reference_find_iso(m, n):
 
 
 class TestOneSidedIsoSearch:
-    """find_iso checks only the forward map; the two-sided search is the
-    oracle."""
+    """find_iso composes two canonical labellings and checks neither map;
+    the two-sided search is the oracle, once free for the verdict and once
+    pinned to find_iso's map for the maps."""
 
     @pytest.mark.parametrize("theory", [preorder_theory(), mon_inv_theory()],
                              ids=["preord", "mon_inv"])
@@ -204,8 +214,221 @@ class TestOneSidedIsoSearch:
                 assert (got is None) == (want is None), (m.name, n.name)
                 if got is not None:
                     hits += 1
+                    want = reference_find_iso(m, n, pinned=got[0].maps)
                     assert [h.maps for h in got] == [h.maps for h in want]
         assert hits > len(mixed)   # some pairs are distinct isomorphic models
+
+
+def structures_up_to(theory, size):
+    """Every structure the enumerator gives with at most `size` elements in
+    all."""
+    return [m for sizes in size_profiles(theory.signature.sorts, size)
+            if sum(sizes.values()) <= size
+            for m in enumerate_structures(theory, sizes)]
+
+
+class TestCanonicalForm:
+    """Certificates against the iso search they replaced, and generators
+    against the automorphism group counted by brute force."""
+
+    @pytest.mark.parametrize("theory", [preorder_theory(), mon_inv_theory()],
+                             ids=["preord", "mon_inv"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equal_certificates_exactly_when_isomorphic(self, theory, seed):
+        """On the corpus of TestIsoIndex; and relabelled copies get the
+        certificate of their model, with labellings that compose to an
+        isomorphism."""
+        rng = random.Random(seed)
+        models = list(enumerate_models(theory, 3))
+        mixed = models + [relabelled(m, rng, f"{rng.choice('AMZ')}{i}")
+                          for i, m in enumerate(rng.sample(models, len(models) // 2))]
+        for m, n in itertools.product(mixed, repeat=2):
+            same = canonical_form(m).certificate == canonical_form(n).certificate
+            assert same == (guarded_find_iso(m, n) is not None), (m.name, n.name)
+        for m in models:
+            copy_ = relabelled(m, rng, "copy")
+            assert canonical_form(copy_).certificate == canonical_form(m).certificate
+            h, hinv = find_iso(m, copy_)
+            assert check_hom(h) and check_hom(hinv)
+        assert [m.name for m in iso_collapse(mixed)] == \
+            [m.name for m in oracle_iso_collapse(mixed)]
+
+    @pytest.mark.parametrize("theory", [pos_theory(), preorder_theory(),
+                                        mon_theory(), mon_inv_theory(),
+                                        cat_theory()],
+                             ids=["pos", "preord", "mon", "mon_inv", "cat"])
+    def test_generators_generate_the_automorphism_group(self, theory):
+        structures = structures_up_to(theory, 4)
+        assert len({canonical_form(m).certificate for m in structures}) > 5
+        symmetric = 0
+        for m in structures:
+            form = canonical_form(m)
+            identity = tuple(range(m.size()))
+            for g in form.generators:
+                assert g != identity
+                assert check_hom(Homomorphism("g", m, m, {
+                    s: {m.view.elems[i][1]: m.view.elems[g[i]][1]
+                        for i, (t, _) in enumerate(m.view.elems) if t == s}
+                    for s in m.signature.sorts}))
+            count = brute_force_automorphisms(m)
+            assert group_order(form.generators, m.size()) == count, m.name
+            symmetric += count > 1
+        assert symmetric
+
+    @pytest.mark.parametrize("make, size, nodes, leaves, order", [
+        # M6xM6 of the definability pool: nine incomparable elements, one
+        # cell that refinement cannot split, 9! automorphisms
+        (lambda: product(pos_theory().signature, [antichain_poset(3)] * 2),
+         9, 45, 9, 362880),
+        (lambda: product(pos_theory().signature, [chain_poset(3)] * 2),
+         9, 3, 2, 2),
+        # Z3 x Z3 as a monoid: its automorphisms are GL(2, 3)
+        (lambda: product(mon_theory().signature, [zmod_monoid(3)] * 2),
+         9, 9, 5, 48),
+        (lambda: product(mon_theory().signature, [zmod_monoid(2)] * 3),
+         8, 13, 6, 168),
+    ], ids=["antichain9", "chain3xchain3", "z3xz3", "z2xz2xz2"])
+    def test_worst_cases(self, make, size, nodes, leaves, order):
+        """Structures whose elements refinement leaves in large cells: the
+        search stays small (at most n^2 leaves) because every automorphism
+        it finds prunes the siblings in its orbit."""
+        m = make()
+        form = canonical_form(m)
+        assert m.size() == size
+        assert (form.nodes, form.leaves) == (nodes, leaves)
+        assert leaves <= size * size
+        assert group_order(form.generators, size) == order
+
+    def test_canonical_form_is_cached(self):
+        m = chain_poset(3)
+        assert canonical_form(m) is canonical_form(m)
+
+    def test_empty_structure(self, pos):
+        empty = make_structure("mt", pos.signature, {"*": ()})
+        form = canonical_form(empty)
+        assert form.labelling == () and form.generators == ()
+        assert form.certificate == canonical_form(
+            make_structure("nil", pos.signature, {})).certificate
+        assert find_iso(empty, chain_poset(1)) is None
+
+
+def definability_members():
+    """(label, universe after close_P) for the two experiments of the
+    definability benchmark: posets among preorders and groups among monoids
+    with a partial inverse, pools up to size 3."""
+    for label, theory, text, cap in (
+            ("posets", preorder_theory(),
+             "[x:*, y:*] leq(x,y) /\\ leq(y,x) |- x = y", 30),
+            ("groups", mon_inv_theory(), "[x:*] true |- def(inv(x))", 20)):
+        seq = parse_sequent(text, theory.signature)
+        pool = iso_collapse(enumerate_models(theory, 3))
+        u = ModelUniverse(theory, [m for m in pool if holds(m, seq).ok], cap)
+        yield label, close_P(u, 2)[0]
+
+
+def orbit_scan_families():
+    for label, after_p in definability_members():
+        yield label, after_p.models
+    yield from seeded_members()
+
+
+def full_scan_candidates(members):
+    """(label, submodel) for every distinct closed submodel of every member,
+    each built, as `_closed_submodels` gave them before it took
+    automorphisms."""
+    for b in members:
+        if b.size() > SUBMODEL_ENUM_CAP:
+            yield b.name, None
+            continue
+        for _, sub in full_mask_scan(b):
+            yield f"{b.name}|{sub.size()}", sub
+
+
+class TestOrbitScan:
+    """`closed_submodels` under a member's automorphisms against the full
+    mask scan: the same distinct closed masks in the same order, the first
+    of each orbit built as the scan built it and each later one given as an
+    isomorphic earlier one, and the same decisions downstream."""
+
+    @pytest.mark.parametrize("family", list(orbit_scan_families()),
+                             ids=lambda f: f[0])
+    def test_same_closed_masks(self, family):
+        _, members = family
+        copies = 0
+        for b in members:
+            if b.size() > SUBMODEL_ENUM_CAP:
+                continue
+            got = list(closed_submodels(b, canonical_form(b).generators))
+            want = list(full_mask_scan(b))
+            assert [c for c, _, _ in got] == [c for c, _ in want], b.name
+            built = set()
+            for (_, sub, first), (_, full) in zip(got, want):
+                if first:
+                    assert structure_layout(sub) == structure_layout(full)
+                    built.add(id(sub))
+                else:
+                    assert id(sub) in built
+                    assert guarded_find_iso(full, sub) is not None, b.name
+                    copies += 1
+        assert copies or family[0] == "mon_inv"
+
+    @staticmethod
+    def same_grow_decisions(u):
+        got, rep = close_Scl(u)
+        want, oracle = u.grow(full_scan_candidates(u.models))
+        assert rep == oracle
+        assert [m.name for m in got.models] == [m.name for m in want.models]
+        assert got.index.keys() == want.index.keys()
+        return rep
+
+    @pytest.mark.parametrize("label, after_p", [
+        pytest.param(label, u, id=label) for label, u in definability_members()])
+    def test_same_grow_decisions(self, label, after_p):
+        rep = self.same_grow_decisions(after_p)
+        assert rep.added or label == "groups"
+
+    def test_same_grow_decisions_on_test_theories(self, mon, z2, z4):
+        """The universes of TestWitnessSearch after close_P, one with a
+        member too large to scan, and Z/4 with Z/2 x Z/4 as monoids."""
+        universes = [close_P(u, 2)[0] for u, _ in hsp_cases()]
+        universes.append(ModelUniverse(mon, [z4, product(mon.signature, [z2, z4])]))
+        reports = [self.same_grow_decisions(u) for u in universes]
+        assert any(rep.added for rep in reports)
+        assert any(rep.skipped for rep in reports)
+
+    def test_failing_judgment_matches_full_scan(self, monkeypatch):
+        """A judgment that fails exactly on the structures with two
+        elements, which is invariant under isomorphism but not closed under
+        closed submodels: its report, `closure_failures` with each copy of
+        a failing orbit in scan order, must be the full scan's, byte for
+        byte."""
+        real = birkhoff.holds
+
+        def holds_unless_two(m, seq):
+            return HoldsResult(False, ()) if m.size() == 2 else real(m, seq)
+
+        pre = preorder_theory()
+        pool = list(enumerate_models(pre, 3))
+        antisym = NamedAxiom("antisym", parse_sequent(
+            "[x:*, y:*] leq(x,y) /\\ leq(y,x) |- x = y", pre.signature))
+        monkeypatch.setattr(birkhoff, "holds", holds_unless_two)
+        judged = []
+        real_scan = birkhoff.closed_submodels
+
+        def counted(b, generators):
+            for closed, sub, first in real_scan(b, generators):
+                judged.append(first)
+                yield closed, sub, first
+
+        monkeypatch.setattr(birkhoff, "closed_submodels", counted)
+        got = definability_check(pre, [antisym], pool, depth=2, size_cap=30)
+        monkeypatch.setattr(birkhoff, "closed_submodels",
+                            lambda b, generators:
+                                ((c, sub, True) for c, sub in full_mask_scan(b)))
+        want = definability_check(pre, [antisym], pool, depth=2, size_cap=30)
+        assert repr(got) == repr(want)
+        assert len(got.closure_failures) > 50 and not got.fixed_point
+        assert judged.count(False) > judged.count(True)
 
 
 def reference_retract_exists(m, n):

@@ -265,7 +265,7 @@ def lockstep(theory, seq, depth, max_work, skipped):
             assert not reference_write(g, clause.conclusion, vals, None,
                                        ("premise", ()))
         else:
-            assert not assert_in_graph(g, seq.premise, env, None, ("premise", ()))
+            assert_in_graph(g, seq.premise, env)
         graphs.append(g)
     assert graph_state(graphs[0]) == graph_state(graphs[1]), (seq, "seed")
     cap = max([depth] + list(graphs[0].class_depth.values()))
@@ -394,7 +394,7 @@ axiom low [x:*, y:*] r(x, y) |- def(f(x)) /\\ x = y;
         assert {"exhausted", "probed"} <= endings
         g = TermGraph(theory.signature)
         env = {"a": g.add_var("a", "*")}
-        assert_in_graph(g, phi, env, None, ("premise", ()))
+        assert_in_graph(g, phi, env)
         assert g.class_depth[2] == 2 and g.stamp() == (5, 5, 2)
         assert saturation_pass(theory, g, 2, 100) == (True, True, 75)
         fx = App("f", (App("h", (App("h", (Var("a"),)),)),))

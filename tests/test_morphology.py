@@ -22,7 +22,7 @@ from phl.theories import (
 )
 from phl.translation import identity_morphism, make_theory_morphism, U_rho_hom
 
-from conftest import partial_hom_ok
+from conftest import guarded_find_iso, partial_hom_ok
 from test_semantics import hom_corpus_with_constructions
 
 
@@ -352,18 +352,25 @@ def seeded_members():
 class TestClosedSubmodelsAgainstSubsetScan:
     """The bitmask closure must give what the per-subset name-based scan
     gave: the same closed submodels, in the same order, with the same
-    tables in the same order."""
+    tables in the same order.  Under the member's automorphisms only the
+    first closed submodel of each orbit is built; each later one is given
+    as that first one, which must be isomorphic to it."""
 
     @pytest.mark.parametrize("family", list(seeded_members()),
                              ids=lambda f: f[0])
     def test_same_sequence(self, family):
         _, members = family
-        want = [(label, structure_layout(sub))
-                for label, sub in oracle_closed_submodels(members)]
-        got = [(label, structure_layout(sub))
-               for label, sub in _closed_submodels(members)]
-        assert got == want
-        assert any(sub is not None for _, sub in got)
+        want = list(oracle_closed_submodels(members))
+        got = list(_closed_submodels(members))
+        assert [label for label, _, _ in got] == [label for label, _ in want]
+        built = set()
+        for (label, sub, first), (_, full) in zip(got, want):
+            if first:
+                assert structure_layout(sub) == structure_layout(full)
+                built.add(id(sub))
+            else:
+                assert id(sub) in built and guarded_find_iso(full, sub), label
+        assert any(sub is not None for _, sub, _ in got)
 
     def test_generated_matches_oracle_on_random_subsets(self):
         rng = random.Random(7)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phl import semantics
-from phl.morphology import closed_submodels, is_injective
+from phl.morphology import is_injective
 from phl.semantics import (
     ChainDiagram, Homomorphism, HoldsResult, PartialStructure, SemanticsError,
     chain_colimit, check_hom, compose_homs, context_tuples, enumerate_homs,
@@ -28,7 +28,9 @@ from phl.theories import (
     mon_theory, pos_theory, preorder_theory, zmod_monoid,
 )
 
-from conftest import formulas_over, reference_holds, reference_iter_homs
+from conftest import (
+    formulas_over, full_mask_scan, reference_holds, reference_iter_homs,
+)
 from test_translation import product_sketch, pullback_sketch
 
 
@@ -188,7 +190,7 @@ def hom_corpus_with_constructions(name):
     sig = models[0].signature
     small = [m for m in models if 0 < m.size() <= most]
     prods = [product(sig, rng.sample(small, 2)) for _ in range(3)]
-    subs = [sub for p in prods for sub in closed_submodels(p) if sub.size() > 1]
+    subs = [sub for p in prods for _, sub in full_mask_scan(p) if sub.size() > 1]
     return models + prods + rng.sample(subs, min(4, len(subs)))
 
 

@@ -1,10 +1,11 @@
 """Differential tests for the routines that read structures and term graphs
-by their table entries: `semantics.product`, `birkhoff._element_invariants`,
-`birkhoff._onto_entries` and `freemodel.TermGraph.lookup`.  Each is compared
-with the version it replaced, kept here or in `conftest.py` as the
-reference: products over the whole argument space, colour refinement that
-rescans every table per element, the inverse of an iso checked by
-`check_hom`, and lookup through a compiled `term = y` clause run on every
+by their table entries: `semantics.product`, `birkhoff.canonical_form` with
+`find_iso` and `iso_collapse`, and `freemodel.TermGraph.lookup`.  Each is
+compared with the version it replaced, kept here or in `conftest.py` as the
+reference: products over the whole argument space, iso dedup by colour
+refinement and a hom search guarded by `check_hom` on the inverse (whose
+colours are in turn checked against a refinement that rescans every table
+per element), and lookup through a compiled `term = y` clause run on every
 class."""
 import functools
 import itertools
@@ -14,9 +15,8 @@ import random
 import pytest
 
 from phl import birkhoff, freemodel
-from phl.morphology import closed_submodels
 from phl.semantics import (
-    UNDEF, PartialStructure, _pack, enumerate_models, exists_hom, iter_homs,
+    UNDEF, PartialStructure, _pack, check_hom, enumerate_models, exists_hom,
     make_structure, product,
 )
 from phl.syntax import (
@@ -26,7 +26,9 @@ from phl.theories import (
     cat_theory, mon_inv_theory, mon_theory, pos_theory, preorder_theory,
 )
 
-from conftest import guarded_find_iso, inverse_is_hom
+from conftest import (
+    element_invariants, full_mask_scan, guarded_find_iso, inverse_is_hom, iso_key,
+)
 
 # ---------------------------------------------------------------------------
 # the replaced routines
@@ -197,7 +199,7 @@ def corpus(name):
     copies = [relabelled(m, rng, f"R{i}")
               for i, m in enumerate(rng.sample(models, len(models) // 2))]
     products = [product(theory.signature, pair) for pair in factor_pairs(name)]
-    subs = [sub for p in products for sub in closed_submodels(p)]
+    subs = [sub for p in products for _, sub in full_mask_scan(p)]
     return models + copies + products + subs
 
 
@@ -224,10 +226,12 @@ def groups(models, key):
 @pytest.mark.parametrize("name", sorted(THEORIES))
 class TestColourRefinement:
     def test_same_colour_classes(self, name):
+        """The colours of the oracle in `conftest.py` that the canonical
+        forms are checked against."""
         models = corpus(name)
         assert len(models) > 100
         for m in models:
-            assert partition(birkhoff._element_invariants(m)) == \
+            assert partition(element_invariants(m)) == \
                 partition(reference_element_invariants(m)), m.name
 
     def test_same_dedup_decisions(self, name):
@@ -240,50 +244,53 @@ class TestColourRefinement:
 
     def test_relabelled_copies_keep_key_and_colours(self, name):
         """Also when the copy's sorts share element names, which changed
-        the reference's iso key for most cat models."""
+        the reference's iso key for most cat models: the copy keeps the
+        certificate, and find_iso's map keeps the oracle's colours."""
         rng = random.Random(f"copies-{name}")
         for m in corpus(name):
             n = relabelled(m, rng, "copy", shared=True)
-            assert birkhoff.iso_key(n) == birkhoff.iso_key(m)
+            assert birkhoff.canonical_form(n).certificate == \
+                birkhoff.canonical_form(m).certificate
+            assert iso_key(n) == iso_key(m)
             pair = birkhoff.find_iso(m, n)
             assert pair is not None, m.name
-            inv_m, inv_n = birkhoff._element_invariants(m), birkhoff._element_invariants(n)
+            inv_m, inv_n = element_invariants(m), element_invariants(n)
             assert all(inv_n[s][pair[0].maps[s][a]] == c
                        for s, colours in inv_m.items() for a, c in colours.items())
 
 
 @pytest.mark.parametrize("name", sorted(THEORIES))
 def test_inverse_guard_matches_check_hom(name):
-    """find_iso's final guard against check_hom of the inverse, which it
-    replaced: on injective homs between structures of equal carrier sizes,
-    keys equal or not, and through find_iso on pairs with equal keys,
-    isomorphic or not."""
+    """find_iso's inverse, which no guard checks now, against check_hom,
+    and find_iso against the guarded search it replaced: on pairs of equal
+    carrier sizes, keys equal or not, and on pairs with equal keys,
+    isomorphic or not.  Equal certificates must mean isomorphic."""
     rng = random.Random(f"inverse-{name}")
     models = corpus(name)
-    by_size = {}
+    by_size, by_key = {}, {}
     for m in models:
         by_size.setdefault(tuple(map(len, m.carriers.values())), []).append(m)
-    outcomes = set()
-    for m in rng.sample(models, 300):
-        n = rng.choice(by_size[tuple(map(len, m.carriers.values()))])
-        for h in itertools.islice(iter_homs(m, n, injective=True), 4):
-            got = birkhoff._onto_entries(h)
-            assert got == inverse_is_hom(h), (m.name, n.name, h.maps)
-            outcomes.add(got)
-    assert True in outcomes
-    if THEORIES[name]().signature.relations:
-        assert False in outcomes, "no hom misses a relation entry"
-    pairs = [p for bucket in birkhoff._index(models).values()
-             for p in itertools.combinations(bucket, 2)]
-    non_iso = 0
-    for m, n in rng.sample(pairs, 400):
+        by_key.setdefault(iso_key(m), []).append(m)
+    pairs = [(m, rng.choice(by_size[tuple(map(len, m.carriers.values()))]))
+             for m in rng.sample(models, 300)]
+    same_key = [p for bucket in by_key.values()
+                for p in itertools.combinations(bucket, 2)]
+    outcomes = []
+    for m, n in pairs + rng.sample(same_key, 400):
         got, want = birkhoff.find_iso(m, n), guarded_find_iso(m, n)
         assert (got is None) == (want is None), (m.name, n.name)
-        if got is None:
-            non_iso += 1
-        else:
-            assert got[0].maps == want.maps
-    assert non_iso, "every sampled pair with equal keys is isomorphic"
+        assert (birkhoff.canonical_form(m).certificate ==
+                birkhoff.canonical_form(n).certificate) == (got is not None)
+        if got is not None:
+            assert check_hom(got[0]) and check_hom(got[1])
+            assert inverse_is_hom(got[0])
+            assert got[1].maps == {s: {b: a for a, b in t.items()}
+                                   for s, t in got[0].maps.items()}
+        outcomes.append((got is None, iso_key(m) == iso_key(n)))
+    assert (False, True) in outcomes
+    assert (True, False) in outcomes
+    if THEORIES[name]().signature.relations:
+        assert (True, True) in outcomes, "every pair with equal keys is isomorphic"
 
 
 @pytest.mark.parametrize("name", sorted(THEORIES))
