@@ -132,10 +132,11 @@ def cmd_prove(args) -> int:
         payload["trace_length"] = len(result.trace)
         payload["saturated"] = result.status.saturated
         if args.elaborate:
-            tree = pv.elaborate(theory, seq, fuel=6)
+            from . import kernel as kn
+            tree = kn.elaborate(theory, seq, fuel=6)
             if tree is not None:
-                payload["derivation"] = pv.format_derivation(tree)
-                lines.append(pv.format_derivation(tree))
+                payload["derivation"] = kn.format_derivation(tree)
+                lines.append(kn.format_derivation(tree))
             else:
                 payload["derivation"] = None
                 lines.append("no explicit tree found; saturation trace stands")

@@ -16,12 +16,13 @@ from phl.birkhoff import (
 from phl.freemodel import repn_morphism, representing_model, yoneda_check
 from phl.morphology import diagonal_fillers, factorize, is_closed_mono, \
     is_dense, orthogonal
-from phl.prover import (
-    AxiomRule, Derivation, Proved, ReflRule, check_derivation,
+from phl.kernel import (
+    AxiomRule, Derivation, ReflRule, check_derivation,
     derive_conj_permutation, derive_cut_lemma, derive_subst_formula_lemma,
     derive_subst_term_lemma, derive_symmetry, derive_transitivity,
-    derive_weakening, prove, rule_node,
+    derive_weakening, rule_node,
 )
+from phl.prover import Proved, prove
 from phl.sampling import random_formula, random_sequent
 from phl.semantics import (
     ChainDiagram, Homomorphism, chain_colimit, check_hom, compose_homs,

@@ -128,6 +128,44 @@ def test_no_unreferenced_private_definitions(path):
     assert unreferenced_definitions(path, CALLERS) == []
 
 
+def runtime_imports(tree: ast.Module) -> set[str]:
+    """The modules a `phl` module imports when it runs, relative imports read
+    as `phl.` ones; imports under `if TYPE_CHECKING:` are left out."""
+    typing_only = {id(n) for node in ast.walk(tree) if isinstance(node, ast.If)
+                   and ast.unparse(node.test) == "TYPE_CHECKING"
+                   for stmt in node.body for n in ast.walk(stmt)}
+    out = set()
+    for node in ast.walk(tree):
+        if id(node) in typing_only:
+            continue
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module)
+        elif isinstance(node, ast.ImportFrom):
+            out.update([f"phl.{node.module}"] if node.module else
+                       [f"phl.{alias.name}" for alias in node.names])
+    return out
+
+
+def test_detects_runtime_imports():
+    src = ("import os.path\nfrom typing import TYPE_CHECKING\n"
+           "from .syntax import Term\nif TYPE_CHECKING:\n"
+           "    from .kernel import Derivation\n"
+           "def f():\n    from . import prover, semantics as sm\n")
+    assert runtime_imports(ast.parse(src)) == \
+        {"os.path", "typing", "phl.syntax", "phl.prover", "phl.semantics"}
+
+
+def test_kernel_stands_apart_from_the_engines():
+    """The derivation checker loads nothing but the standard library and
+    `phl.syntax`, and the decision procedure does not load the checker."""
+    kernel = runtime_imports(parsed(SRC / "kernel.py"))
+    assert {m for m in kernel
+            if m.split(".")[0] not in sys.stdlib_module_names} == {"phl.syntax"}
+    assert "phl.kernel" not in runtime_imports(parsed(SRC / "prover.py"))
+
+
 # `phl.cli` imports each engine module inside the subcommand that runs it, so
 # that a fresh `phl` process compiles and loads only those
 CLI_BASE = {"phl", "phl.cli", "phl.syntax"}
@@ -139,7 +177,9 @@ CLI_BASE = {"phl", "phl.cli", "phl.syntax"}
     (["check", "data/pos.phl", "data/chain2.model"], {"phl.semantics"}),
     (["prove", "data/mon.phl", "[x:*] true |- mul(x,x) = x", "-k", "2"],
      {"phl.semantics", "phl.freemodel", "phl.prover"}),
-], ids=["import", "fmt", "check", "prove"])
+    (["prove", "data/mon.phl", "[x:*] true |- mul(x,e) = x", "--elaborate"],
+     {"phl.semantics", "phl.freemodel", "phl.prover", "phl.kernel"}),
+], ids=["import", "fmt", "check", "prove", "prove-elaborate"])
 def test_cli_loads_only_the_engine_it_runs(argv, engines):
     code = ("import contextlib, io, json, sys\n"
             "import phl.cli\n"

@@ -5,18 +5,19 @@ from collections import Counter
 import pytest
 
 from phl import prover, semantics
-from phl.prover import (
+from phl.kernel import (
     AxiomRule, CutRule, Derivation, EConjRule, EqRule, IConjRule, IdRule,
-    Proved, Refuted, ReflRule, RuleError, SEqRule, SFunRule, SRelRule,
-    SubstRule, UnknownVerdict, alpha_normal, check_derivation, check_rule,
-    derive_conj_permutation, derive_cut_lemma, derive_defined_var,
-    derive_subst_formula_lemma, derive_subst_term_lemma, derive_symmetry,
-    derive_transitivity, derive_weakening, elaborate, format_derivation,
-    parse_derivation, prove, rule_node, sequents_alpha_equal,
+    ReflRule, RuleError, SEqRule, SFunRule, SRelRule, SubstRule,
+    alpha_normal, check_derivation, check_rule, derive_conj_permutation,
+    derive_cut_lemma, derive_defined_var, derive_subst_formula_lemma,
+    derive_subst_term_lemma, derive_symmetry, derive_transitivity,
+    derive_weakening, elaborate, format_derivation, parse_derivation,
+    rule_node, sequents_alpha_equal,
 )
+from phl.prover import Proved, Refuted, UnknownVerdict, prove
 from phl.syntax import (
     App, Conj, Context, Eq, NamedAxiom, PhlError, RelApp, Sequent, Signature,
-    TRUE, Var,
+    TRUE, Theory, Var,
     conj, defined, parse_sequent, parse_theory, print_sequent,
 )
 from phl.sampling import random_sequent
@@ -25,6 +26,8 @@ from phl.semantics import formula_holds_at, interp_formula, is_model, \
 from phl.theories import cat_theory, mon_theory, pos_theory
 
 from conftest import prove_saturation_first
+from test_acceptance import BRIDGE_SEED, SOUNDNESS_SEED, bridge_corpus, \
+    golden_corpus, soundness_corpus
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
 
@@ -642,6 +645,7 @@ class TestDerivationCodec:
         ('[rule Axiom {"name": 3}]', "Axiom rule data: 'name' must be a string"),
         ('[rule Refl [0]]', "Refl rule data must be a JSON object"),
         ('[rule Frob {}]', "unknown rule name 'Frob'"),
+        ('[rule Refl {"ctx": "[x:*]", "i": 1, "i": 0}]', "key 'i' given twice"),
     ])
     def test_malformed_rule_data(self, pos, tag, message):
         with pytest.raises(PhlError, match=re.escape(message)):
@@ -655,6 +659,13 @@ class TestDerivationCodec:
         with pytest.raises(PhlError, match="multiple roots"):
             parse_derivation(refl + "\n" + refl, pos.signature)
 
+    @pytest.mark.parametrize("margin", ["   ", "\t", "  \t"])
+    def test_indentation_other_than_two_spaces_a_level(self, pos, margin):
+        refl = '[x:*] true |- def(x)  [rule Refl {"ctx": "[x:*]", "i": 0}]'
+        with pytest.raises(PhlError, match="bad indentation in derivation line 2"):
+            parse_derivation("[x:*] true |- def(x)  [rule Cut {}]\n" + margin + refl,
+                             pos.signature)
+
     def test_premise_without_context(self, pos):
         with pytest.raises(PhlError, match="unknown variable"):
             parse_derivation('[x:*] def(x) |- true  [rule IConj'
@@ -667,3 +678,41 @@ class TestDerivationCodec:
         parsed = parse_derivation(text, pos.signature)
         assert check_derivation(pos, parsed).ok
         assert format_derivation(parsed) == text
+
+
+def round_trip_corpus(pos):
+    """(theory, derivation): three with a conjunction of one part, which the
+    text format writes as that part (the third nests it in an axiom built in
+    code), criterion 1's golden trees, and every `elaborate(fuel=6)` result
+    on the criterion 2 and 3 corpora."""
+    c = ctx(("x", "*"), ("y", "*"))
+    leq = RelApp("leq", (X, Y))
+    nested = Theory("nested", pos.signature, (NamedAxiom(
+        "ax", Sequent(c, leq, Conj((Conj((leq,)), defined(X))))),))
+    cases = [
+        (pos, derive_conj_permutation(pos.signature, c, (leq,), (0,))),
+        (pos, rule_node(IConjRule(), (rule_node(IdRule(c, leq), (), pos.signature),),
+                        pos.signature)),
+        (nested, rule_node(AxiomRule("ax"), (), pos.signature, nested)),
+    ] + golden_corpus()
+    for seed, corpus, theories in (
+            (SOUNDNESS_SEED, soundness_corpus,
+             (pos_theory(), mon_theory(), cat_theory())),
+            (BRIDGE_SEED, bridge_corpus, (pos_theory(), mon_theory()))):
+        rng = random.Random(seed)
+        for theory in theories:
+            for seq in corpus(theory, rng):
+                d = elaborate(theory, seq, fuel=6)
+                if d is not None:
+                    cases.append((theory, d))
+    return cases
+
+
+def test_derivations_check_again_after_a_text_round_trip(pos):
+    cases = round_trip_corpus(pos)
+    assert len(cases) > 100
+    assert all(check_derivation(theory, d).ok for theory, d in cases)
+    failed = [format_derivation(d) for theory, d in cases
+              if not check_derivation(theory, parse_derivation(
+                  format_derivation(d), theory.signature)).ok]
+    assert failed == []

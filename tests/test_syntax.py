@@ -246,7 +246,7 @@ class TestParserTotality:
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(st.text(max_size=80), mutated(DERIVATION_DOCS)))
     def test_parse_derivation_total(self, pos, text):
-        from phl.prover import parse_derivation
+        from phl.kernel import parse_derivation
         from phl.syntax import PhlError
         try:
             parse_derivation(text, pos.signature)
