@@ -302,10 +302,11 @@ class ModelUniverse:
         return grown, ClosureReport(tuple(added), tuple(skipped))
 
 
-def _products(sig, models, arity_cap: int, cap: int):
-    """(label, product) for each combination of up to arity_cap members, the
-    empty one included; the product is None when it would exceed the cap."""
-    for k in range(arity_cap + 1):
+def _products(sig, models, cap: int):
+    """(label, product) for each combination of up to PRODUCT_ARITY members,
+    the empty one included; the product is None when it would exceed the
+    cap."""
+    for k in range(PRODUCT_ARITY + 1):
         for combo in itertools.combinations_with_replacement(models, k):
             label = "x".join(m.name for m in combo) or "1"
             try:
@@ -314,6 +315,7 @@ def _products(sig, models, arity_cap: int, cap: int):
                 yield label, None
 
 
+PRODUCT_ARITY = 2
 SUBMODEL_ENUM_CAP = 14
 
 
@@ -332,11 +334,11 @@ def _closed_submodels(models):
             yield f"{b.name}|{sub.size()}", sub, first
 
 
-def close_P(universe: ModelUniverse, arity_cap: int = 2) -> tuple[ModelUniverse, ClosureReport]:
-    """Add products of members up to the arity cap (including the empty
+def close_P(universe: ModelUniverse) -> tuple[ModelUniverse, ClosureReport]:
+    """Add products of up to PRODUCT_ARITY members (including the empty
     product); oversized products are skipped and reported."""
     return universe.grow(_products(universe.theory.signature, universe.models,
-                                   arity_cap, universe.size_cap))
+                                   universe.size_cap))
 
 
 def close_Scl(universe: ModelUniverse) -> tuple[ModelUniverse, ClosureReport]:
@@ -383,21 +385,21 @@ class HspReport:
     growth_witnesses: tuple[str, ...] = ()
 
 
-def hsp_closure(universe: ModelUniverse, pool, arity_cap: int = 2,
+def hsp_closure(universe: ModelUniverse, pool,
                 u_hom=None) -> tuple[ModelUniverse, HspReport]:
     """One application of retracts after closed submodels after products; a
     second pass restricted to the pool is asserted to add nothing."""
-    after_p, rp = close_P(universe, arity_cap)
+    after_p, rp = close_P(universe)
     after_s, rs = close_Scl(after_p)
     after_r, rr = close_R(after_s, pool, u_hom)
-    witnesses = _pool_growth_witnesses(after_r, rr.added, pool, arity_cap)
+    witnesses = _pool_growth_witnesses(after_r, rr.added, pool)
     report = HspReport(rp.added, rs.added, rr.added,
                        rp.skipped + rs.skipped, not witnesses, witnesses)
     return after_r, report
 
 
-def _pool_growth_witnesses(closure: ModelUniverse, r_added, pool,
-                           arity_cap: int) -> tuple[str, ...]:
+def _pool_growth_witnesses(closure: ModelUniverse, r_added,
+                           pool) -> tuple[str, ...]:
     """Pool members outside the closure that one more operator application
     would reach as a small product or a closed submodel.  Only the members
     named in r_added, which the retract step added, have their closed
@@ -413,7 +415,7 @@ def _pool_growth_witnesses(closure: ModelUniverse, r_added, pool,
     max_pool = max(n.size() for n in pool)
     candidates = itertools.chain(
         (m for _, m in _products(closure.theory.signature, closure.models,
-                                 arity_cap, max_pool)),
+                                 max_pool)),
         (sub for _, sub, first in _closed_submodels(
             b for b in closure.models if b.name in r_added) if first))
     reached = _index(m for m in candidates if m is not None)
@@ -439,8 +441,7 @@ class DefinabilityReport:
 
 
 def definability_check(theory: Theory, judgments, pool, depth: int = 4,
-                       arity_cap: int = 2, size_cap: int = 64,
-                       u_hom=None) -> DefinabilityReport:
+                       size_cap: int = 64, u_hom=None) -> DefinabilityReport:
     """Check that the subclass of the pool defined by the judgments is an
     hsp fixed point, and that each judgment's orthogonality characterization
     agrees with validity on the whole pool.
@@ -465,7 +466,7 @@ def definability_check(theory: Theory, judgments, pool, depth: int = 4,
                              size_cap)
     failures: list[str] = []
     insufficiency: list[str] = []
-    after_p, rp = close_P(universe, arity_cap)
+    after_p, rp = close_P(universe)
     insufficiency.extend(f"product skipped: {x}" for x in rp.skipped)
     failures.extend(m.name for m in after_p.models if violates(m))
 
@@ -489,7 +490,7 @@ def definability_check(theory: Theory, judgments, pool, depth: int = 4,
     insufficiency.extend(f"submodels not enumerated: {x}" for x in rs.skipped)
     closed, rr = close_R(after_s, pool, u_hom)
     failures.extend(name for name in rr.added if violates(by_name[name]))
-    witnesses = _pool_growth_witnesses(closed, rr.added, pool, arity_cap)
+    witnesses = _pool_growth_witnesses(closed, rr.added, pool)
     failures.extend(w for w in witnesses if violates(by_name[w]))
     pool_index = _index(pool)
     insufficiency.extend(f"outside pool: {m.name}" for m in closed.models

@@ -71,7 +71,7 @@ def prove(theory: Theory, seq: Sequent, depth: int = 4, model_size: int = 4,
     Proved when saturating the representing model of the premise to the given
     depth puts the generic tuple inside the conclusion; Refuted by the
     saturated term model itself or by an enumerated finite countermodel
-    (the first in `enumerate_models` order, which is enumerated no further);
+    (the first in `iter_models` order, which is enumerated no further);
     Unknown otherwise.  `max_work` bounds the axiom instances saturation
     tries (None selects DEFAULT_WORK_BUDGET; a negative budget raises).
 
@@ -81,9 +81,9 @@ def prove(theory: Theory, seq: Sequent, depth: int = 4, model_size: int = 4,
     slice's last pass, at no cost to the budget.  Otherwise, unless the
     slice reached the goal, the first FIRST_MODELS models are searched for
     a countermodel; then saturation starts afresh with the whole budget,
-    and the rest of the same model iterator is searched after it.  So no
-    model is enumerated twice, a Proved carries the full run's trace, and
-    the countermodel is the first in enumeration order.
+    and the rest of the same model iterator is searched after it.  So
+    within one call no model is built twice, a Proved carries the full
+    run's trace, and the countermodel is the first in enumeration order.
     """
     if depth < 0:
         raise PhlError("depth budget must be >= 0")

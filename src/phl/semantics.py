@@ -69,11 +69,13 @@ class PartialStructure:
 
 def make_structure(name: str, sig: Signature, carriers, funcs=None,
                    rels=None) -> PartialStructure:
+    problems = [f"carrier for unknown sort '{s}'"
+                for s in carriers if s not in sig.sorts]
     carriers = {s: tuple(carriers.get(s, ())) for s in sig.sorts}
     funcs = {f: dict(t) for f, t in (funcs or {}).items()}
     rels = {r: frozenset(tuple(x) for x in t) for r, t in (rels or {}).items()}
     m = PartialStructure(name, sig, carriers, funcs, rels)
-    problems = structure_diagnostics(m)
+    problems += structure_diagnostics(m)
     if problems:
         raise SemanticsError(f"bad structure '{name}': " + "; ".join(problems))
     return m
@@ -800,79 +802,24 @@ def size_profiles(sorts, max_size: int):
         yield dict(zip(sorts, combo))
 
 
-class _LazyModels:
-    """The models of one theory with every carrier of size <= max_size,
-    enumerated only as far as some caller has iterated, and kept in order.
-
-    Iterating replays the kept models and then extends them from the one
-    running enumeration.  Once it is exhausted the models are kept as one
-    tuple, returned by every later `complete()`.  An enumeration that raises
-    is finished, and would read as exhausted if resumed, so it is dropped
-    with the models it kept and the next iteration starts again."""
-
-    def __init__(self, theory: Theory, max_size: int):
-        self._args = (theory, max_size)
-        self._restart()
-
-    def _restart(self) -> None:
-        self._kept: list | tuple = []
-        self._complete = False
-        self._source = self._enumerate(*self._args)
-
-    @staticmethod
-    def _enumerate(theory: Theory, max_size: int):
-        n = 0
-        for sizes in size_profiles(theory.signature.sorts, max_size):
-            for m in enumerate_structures(theory, sizes):
-                yield replace(m, name=f"M{n}")
-                n += 1
-
-    @property
-    def filled(self) -> int:
-        """How many models have been enumerated so far."""
-        return len(self._kept)
-
-    def __iter__(self):
-        i = 0
-        while True:
-            if i < len(self._kept):
-                yield self._kept[i]
-                i += 1
-                continue
-            if self._complete:
-                return
-            try:
-                m = next(self._source)
-            except StopIteration:
-                self._kept, self._complete = tuple(self._kept), True
-                return
-            except BaseException:
-                self._restart()
-                raise
-            self._kept.append(m)
-
-    def complete(self) -> tuple:
-        if not self._complete:
-            for _ in self:
-                pass
-        return self._kept
+def iter_models(theory: Theory, max_size: int):
+    """All models with every carrier of size <= max_size, named M0, M1, ...
+    in enumeration order; each is built only when the caller asks for it."""
+    n = 0
+    for sizes in size_profiles(theory.signature.sorts, max_size):
+        for m in enumerate_structures(theory, sizes):
+            yield replace(m, name=f"M{n}")
+            n += 1
 
 
 @lru_cache(maxsize=64)
-def _models_cached(theory: Theory, max_size: int) -> _LazyModels:
-    return _LazyModels(theory, max_size)
+def _models_cached(theory: Theory, max_size: int) -> tuple:
+    return tuple(iter_models(theory, max_size))
 
 
 def enumerate_models(theory: Theory, max_size: int) -> tuple:
-    """All models with every carrier of size <= max_size, named M0, M1, ...
-    in enumeration order (cached per theory)."""
-    return _models_cached(theory, max_size).complete()
-
-
-def iter_models(theory: Theory, max_size: int):
-    """The models of `enumerate_models`, in the same order and the same
-    objects; nothing is looked up or enumerated before the caller iterates."""
-    yield from _models_cached(theory, max_size)
+    """The models of `iter_models` as one tuple (cached per theory)."""
+    return _models_cached(theory, max_size)
 
 
 # ---------------------------------------------------------------------------
@@ -954,9 +901,6 @@ def parse_model(text: str, sig: Signature) -> tuple[PartialStructure, str]:
             ts.expect("punct", ";")
         else:
             ts.error(f"unexpected {ts.peek().text!r} in model body")
-    unknown = set(carriers) - set(sig.sorts)
-    if unknown:
-        raise SemanticsError(f"carriers for unknown sorts {sorted(unknown)}")
     m = make_structure(name, sig, carriers, funcs, rels)
     return m, theory_name
 

@@ -149,13 +149,9 @@ def cycle_preorder() -> PartialStructure:
                           {"*": ("a", "b")}, {}, {"leq": leq})
 
 
-def zmod_monoid(n: int, theory: Theory | None = None) -> PartialStructure:
-    """The additive cyclic monoid on n elements, optionally with its inverse
-    table over the monoid-with-inverse signature."""
-    theory = theory or mon_theory()
+def zmod_monoid(n: int) -> PartialStructure:
+    """The additive cyclic monoid on n elements."""
     elems = tuple(str(i) for i in range(n))
     mul = {(str(a), str(b)): str((a + b) % n) for a in range(n) for b in range(n)}
     funcs = {"e": {(): "0"}, "mul": mul}
-    if theory.signature.function("inv") is not None:
-        funcs["inv"] = {(str(a),): str((-a) % n) for a in range(n)}
-    return make_structure(f"z{n}", theory.signature, {"*": elems}, funcs)
+    return make_structure(f"z{n}", mon_theory().signature, {"*": elems}, funcs)

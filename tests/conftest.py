@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import strategies as st
 
+from phl import semantics
 from phl.semantics import Homomorphism, check_hom, exists_hom
 from phl.syntax import App, Eq, RelApp, Var, conj, defined
 from phl.theories import (
@@ -43,6 +44,23 @@ def z2():
 @pytest.fixture(scope="session")
 def z4():
     return zmod_monoid(4)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The structures `semantics.enumerate_structures` yields during the
+    test, in order; the test starts with an empty `enumerate_models`
+    cache."""
+    semantics._models_cached.cache_clear()
+    real, out = semantics.enumerate_structures, []
+
+    def counting(theory, sizes):
+        for m in real(theory, sizes):
+            out.append(m)
+            yield m
+
+    monkeypatch.setattr(semantics, "enumerate_structures", counting)
+    return out
 
 
 # ---------------------------------------------------------------------------

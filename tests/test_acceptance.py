@@ -328,8 +328,8 @@ def test_criterion_7_closure_laws():
         def visible(universe):
             return frozenset(m.name for m in pool if universe.contains_iso(m))
 
-        p1, _ = close_P(u, 2)
-        p2, _ = close_P(p1, 2)
+        p1, _ = close_P(u)
+        p2, _ = close_P(p1)
         assert visible(p1) == visible(p2)
         s1, _ = close_Scl(p1)
         s2, _ = close_Scl(s1)
@@ -340,15 +340,15 @@ def test_criterion_7_closure_laws():
 
         # containments within the pool: P R <= R P and the Scl analogues
         ra, _ = close_R(u, pool)
-        pra, _ = close_P(ra, 2)
-        pa, _ = close_P(u, 2)
+        pra, _ = close_P(ra)
+        pa, _ = close_P(u)
         rpa, _ = close_R(pa, pool)
         for m in pool:
             if pra.contains_iso(m):
                 assert rpa.contains_iso(m)
         sa, _ = close_Scl(u)
-        psa, _ = close_P(sa, 2)
-        pb, _ = close_P(u, 2)
+        psa, _ = close_P(sa)
+        pb, _ = close_P(u)
         spb, _ = close_Scl(pb)
         for m in pool:
             if psa.contains_iso(m):

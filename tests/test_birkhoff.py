@@ -5,8 +5,8 @@ import pytest
 
 from phl import birkhoff
 from phl.birkhoff import (
-    SUBMODEL_ENUM_CAP, BirkhoffError, ClosureReport, ComponentPoset,
-    FiniteCategory,
+    PRODUCT_ARITY, SUBMODEL_ENUM_CAP, BirkhoffError, ClosureReport,
+    ComponentPoset, FiniteCategory,
     ModelUniverse, acc_report, close_P, close_R, close_Scl, component_diagram,
     canonical_form, definability_check, find_iso, hsp_closure, iso_collapse,
     make_finite_category, posetification,
@@ -323,7 +323,7 @@ def definability_members():
         seq = parse_sequent(text, theory.signature)
         pool = iso_collapse(enumerate_models(theory, 3))
         u = ModelUniverse(theory, [m for m in pool if holds(m, seq).ok], cap)
-        yield label, close_P(u, 2)[0]
+        yield label, close_P(u)[0]
 
 
 def orbit_scan_families():
@@ -390,7 +390,7 @@ class TestOrbitScan:
     def test_same_grow_decisions_on_test_theories(self, mon, z2, z4):
         """The universes of TestWitnessSearch after close_P, one with a
         member too large to scan, and Z/4 with Z/2 x Z/4 as monoids."""
-        universes = [close_P(u, 2)[0] for u, _ in hsp_cases()]
+        universes = [close_P(u)[0] for u, _ in hsp_cases()]
         universes.append(ModelUniverse(mon, [z4, product(mon.signature, [z2, z4])]))
         reports = [self.same_grow_decisions(u) for u in universes]
         assert any(rep.added for rep in reports)
@@ -514,7 +514,7 @@ class TestWitnessSearch:
     def test_hsp_witnesses_match_exhaustive_search(self):
         r_added = witnessed = 0
         for u, pool in hsp_cases():
-            closed, rep = hsp_closure(u, pool, 2)
+            closed, rep = hsp_closure(u, pool)
             assert rep.growth_witnesses == reference_witnesses(closed, pool, 2)
             assert rep.second_pass_stable == (not rep.growth_witnesses)
             r_added += bool(rep.r_added)
@@ -523,7 +523,7 @@ class TestWitnessSearch:
 
     def test_grid_reached_through_retract_step(self):
         *_, (u, pool) = hsp_cases()
-        closed, rep = hsp_closure(u, pool, 2)
+        closed, rep = hsp_closure(u, pool)
         # the two-element chain and the grid are retracts of the 16-element
         # member; the two-element antichain (M2) is a closed submodel of the
         # grid, and neither a product nor a retract of any member
@@ -542,8 +542,8 @@ class TestWitnessSearch:
         rep = definability_check(theory, [j], pool, depth=depth, size_cap=cap)
         monkeypatch.setattr(
             birkhoff, "_pool_growth_witnesses",
-            lambda closure, _r, pool, arity:
-                reference_witnesses(closure, pool, arity))
+            lambda closure, _r, pool:
+                reference_witnesses(closure, pool, PRODUCT_ARITY))
         assert definability_check(theory, [j], pool, depth=depth,
                                   size_cap=cap) == rep
 
@@ -561,7 +561,7 @@ class TestWitnessSearch:
         pre = preorder_theory()
         j = NamedAxiom("antisym", parse_sequent(
             "[x:*, y:*] leq(x,y) /\\ leq(y,x) |- x = y", pre.signature))
-        runs = [lambda u=u, pool=pool: hsp_closure(u, pool, 2)
+        runs = [lambda u=u, pool=pool: hsp_closure(u, pool)
                 for u, pool in hsp_cases()]
         runs.append(lambda: definability_check(
             pre, [j], list(enumerate_models(pre, 3)), depth=2, size_cap=30))
@@ -578,16 +578,16 @@ class TestWitnessSearch:
 class TestClosureOperators:
     def test_close_P_adds_product_order(self, pos, chain2):
         u = ModelUniverse(pos, [chain2])
-        out, rep = close_P(u, 2)
+        out, rep = close_P(u)
         sizes = sorted(m.size() for m in out.models)
         assert 4 in sizes        # the product order
         assert 1 in sizes        # the empty product
         assert any("x" in name for name in rep.added)
 
     def test_close_P_adds_a_product_of_the_cap_size(self, pos, chain2):
-        _, rep = close_P(ModelUniverse(pos, [chain2], size_cap=4), 2)
+        _, rep = close_P(ModelUniverse(pos, [chain2], size_cap=4))
         assert "chain2xchain2" in rep.added and rep.skipped == ()
-        _, rep = close_P(ModelUniverse(pos, [chain2], size_cap=3), 2)
+        _, rep = close_P(ModelUniverse(pos, [chain2], size_cap=3))
         assert rep.skipped == ("chain2xchain2",)
 
     def test_negative_size_cap_rejected(self, pos, chain2):
@@ -595,7 +595,7 @@ class TestClosureOperators:
             ModelUniverse(pos, [chain2], size_cap=-1)
         with pytest.raises(BirkhoffError, match="size cap must be >= 0"):
             definability_check(pos, [], [chain2], size_cap=-1)
-        _, rep = close_P(ModelUniverse(pos, [chain2], size_cap=0), 2)
+        _, rep = close_P(ModelUniverse(pos, [chain2], size_cap=0))
         assert rep.added == () and len(rep.skipped) == 3
 
     def test_close_Scl_monoid(self, mon, z4):
@@ -631,8 +631,8 @@ class TestClosureOperators:
             return frozenset(m.name for m in pool if universe.contains_iso(m))
 
         u = ModelUniverse(pos, [chain_poset(2)], 30)
-        once, _ = close_P(u, 2)
-        twice, _ = close_P(once, 2)
+        once, _ = close_P(u)
+        twice, _ = close_P(once)
         assert visible(once) == visible(twice)
         s_once, _ = close_Scl(once)
         s_twice, _ = close_Scl(s_once)
@@ -647,8 +647,8 @@ class TestClosureOperators:
         pool = list(enumerate_models(pre, 2))
         e = ModelUniverse(pre, [chain_poset(2)], 30)
         r1, _ = close_R(e, pool)
-        pr_models, _ = close_P(r1, 2)
-        p1, _ = close_P(e, 2)
+        pr_models, _ = close_P(r1)
+        p1, _ = close_P(e)
         rp_models, _ = close_R(p1, pool)
         for m in pr_models.models:
             if m.size() <= 2:
@@ -695,7 +695,7 @@ class TestHsp:
         posets = [m for m in pool
                   if holds(m, pos.axiom("antisym").sequent).ok]
         u = ModelUniverse(pre, posets, 30)
-        closed, rep = hsp_closure(u, pool, 2)
+        closed, rep = hsp_closure(u, pool)
         assert rep.second_pass_stable
         assert not rep.growth_witnesses
 
@@ -708,7 +708,7 @@ class TestHsp:
                   if holds(m, pos_theory().axiom("antisym").sequent).ok]
         nonempty = [m for m in posets if m.size() > 0]
         u = ModelUniverse(pre, nonempty, 30)
-        closed, rep = hsp_closure(u, pool, 2)
+        closed, rep = hsp_closure(u, pool)
         assert any(m.size() == 0 for m in closed.models)
 
     def test_gap_reached_by_product(self):
@@ -718,7 +718,7 @@ class TestHsp:
         pool = list(enumerate_models(pos, 3))
         small = [m for m in pool if m.size() <= 2]
         u = ModelUniverse(pos, small, 30)
-        closed, rep = hsp_closure(u, pool, 2)
+        closed, rep = hsp_closure(u, pool)
         reached = [m for m in closed.models if m.size() == 3]
         assert reached  # three-element closed submodels of products appear
 

@@ -110,6 +110,14 @@ class TestCheck:
         assert (code, out) == (11, "")
         assert "carrier * given twice" in err
 
+    def test_carrier_for_unknown_sort_exit_11(self, files, capsys):
+        (files / "bogus.model").write_text(CHAIN2 + "carrier bogus: c;\n")
+        code, out, err = run(capsys, "check", files / "pos.phl",
+                             files / "bogus.model")
+        assert (code, out) == (11, "")
+        assert ("bad structure 'chain2': carrier for unknown sort 'bogus'"
+                in err)
+
 
 class TestProve:
     def test_axiom_proved(self, files, capsys):

@@ -211,3 +211,83 @@ def wrapped_names() -> dict[str, tuple[str, ...]]:
 def test_traced_functions_exist(layer, names):
     module = importlib.import_module(f"phl.{layer}")
     assert [n for n in names if not callable(getattr(module, n, None))] == []
+
+
+def phl_references(tree: ast.Module) -> set[tuple[str, tuple[str, ...]]]:
+    """(module, names) for each thing of `phl` a file reads: every module an
+    `import phl…` loads, every name a `from phl… import` takes, and every
+    attribute chain read off a name bound by either, such as
+    `semantics._models_cached.cache_clear` after `from phl import
+    semantics`."""
+    bound: dict[str, tuple[str, tuple[str, ...]]] = {}
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "phl":
+                    refs.add((alias.name, ()))
+                    bound[alias.asname or "phl"] = \
+                        (alias.name if alias.asname else "phl", ())
+        elif isinstance(node, ast.ImportFrom) and not node.level and \
+                node.module.split(".")[0] == "phl":
+            for alias in node.names:
+                refs.add((node.module, (alias.name,)))
+                bound[alias.asname or alias.name] = \
+                    (node.module, (alias.name,))
+    inner = {id(n.value) for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or id(node) in inner:
+            continue
+        chain, root = [], node
+        while isinstance(root, ast.Attribute):
+            chain.append(root.attr)
+            root = root.value
+        if isinstance(root, ast.Name) and root.id in bound:
+            module, names = bound[root.id]
+            refs.add((module, names + tuple(reversed(chain))))
+    return refs
+
+
+def resolves(module: str, names: tuple[str, ...]) -> bool:
+    """Whether `module` imports and `names` is an attribute chain on it; a
+    name that is a submodule not loaded yet is imported."""
+    try:
+        obj = importlib.import_module(module)
+        for name in names:
+            if not hasattr(obj, name) and hasattr(obj, "__path__"):
+                importlib.import_module(f"{obj.__name__}.{name}")
+            obj = getattr(obj, name)
+    except (ImportError, AttributeError):
+        return False
+    return True
+
+
+def test_detects_unresolved_phl_references():
+    src = ("import os.path\nimport phl.cli\nfrom phl import semantics as sm\n"
+           "from phl.syntax import parse_theory, nope\n"
+           "sm.x\nphl.cli.main\nsm._models_cached.cache_clear()\n"
+           "sm.gone.cache_clear\n"
+           "parse_theory.__name__\nos.path.join\n")
+    refs = phl_references(ast.parse(src))
+    assert refs == {
+        ("phl.cli", ()), ("phl", ("cli", "main")),
+        ("phl", ("semantics",)), ("phl", ("semantics", "x")),
+        ("phl", ("semantics", "_models_cached", "cache_clear")),
+        ("phl", ("semantics", "gone", "cache_clear")),
+        ("phl.syntax", ("parse_theory",)), ("phl.syntax", ("nope",)),
+        ("phl.syntax", ("parse_theory", "__name__")),
+    }
+    assert sorted(r for r in refs if not resolves(*r)) == [
+        ("phl", ("semantics", "gone", "cache_clear")),
+        ("phl", ("semantics", "x")), ("phl.syntax", ("nope",))]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "perfbench").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_perfbench_reads_only_what_phl_has(path):
+    """The benchmark reads `phl` private names too (the `enumerate_models`
+    cache it clears between rounds); a rename must fail here, not at run
+    time."""
+    refs = phl_references(ast.parse(path.read_text()))
+    assert sorted(r for r in refs if not resolves(*r)) == []

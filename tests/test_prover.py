@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from phl import prover, semantics
+from phl import prover
 from phl.kernel import (
     AxiomRule, CutRule, Derivation, EConjRule, EqRule, IConjRule, IdRule,
     ReflRule, RuleError, SEqRule, SFunRule, SRelRule, SubstRule,
@@ -432,12 +432,11 @@ class TestSchedule:
             "Proved", "Refuted", "Unknown", "same term model",
             "term model to enumerated")), kinds
 
-    def test_slice_that_decides_enumerates_no_model(self, mon):
-        # the models are looked up only when the first one is needed
-        semantics._models_cached.cache_clear()
+    def test_slice_that_decides_enumerates_no_model(self, mon, built):
+        # the models are built only when the first one is needed
         seq = parse_sequent("[x:*] true |- mul(x,e) = x", mon.signature)
         assert isinstance(prove(mon, seq, depth=2, model_size=4), Proved)
-        assert semantics._models_cached.cache_info().currsize == 0
+        assert built == []
 
     @pytest.mark.parametrize("theory, text, options, budgets, verdict", [
         # the slice runs out and the 10th model is a countermodel

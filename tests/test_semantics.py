@@ -433,36 +433,36 @@ def eager_models(theory, max_size) -> tuple:
 
 
 class TestLazyModelSearch:
-    def test_prove_stops_at_first_countermodel(self, mon):
-        semantics._models_cached.cache_clear()
+    def test_prove_stops_at_first_countermodel(self, mon, built):
         seq = parse_sequent("[x:*, y:*] true |- mul(x,y) = mul(y,x)", mon.signature)
         r = prove(mon, seq, model_size=4)
         assert isinstance(r, Refuted)
         assert (r.countermodel.name, r.witness) == ("M9", ("u1", "u2"))
-        assert semantics._models_cached(mon, 4).filled == 10
-        # the rest is enumerated on demand, in the eager order
+        assert len(built) == 10
+        # an equal model, built afresh, at the same place in the full list
         models = enumerate_models(mon, 4)
+        assert len(built) == 10 + 662
         assert models == eager_models(mon, 4)
-        assert len(models) == 662 and models[9] is r.countermodel
-        assert enumerate_models(mon, 4) is models
+        assert models[9] == r.countermodel
 
-    def test_iterators_share_one_enumeration(self, pos):
-        semantics._models_cached.cache_clear()
-        first = iter_models(pos, 3)
-        head = [next(first) for _ in range(5)]
-        models = enumerate_models(pos, 3)
-        assert head + list(first) == list(models) == list(iter_models(pos, 3))
-        assert all(a is b for a, b in zip(iter_models(pos, 3), models))
+    def test_models_follow_the_eager_order(self, pos, mon, built):
+        for theory in (pos, mon):
+            for k in range(4):
+                want = eager_models(theory, k)
+                del built[:]
+                assert tuple(iter_models(theory, k)) == want
+                assert enumerate_models(theory, k) == want
+                assert len(built) == 2 * len(want)
 
-    def test_enumeration_that_raises_is_not_cached(self, mon, monkeypatch):
-        semantics._models_cached.cache_clear()
-        real = semantics.enumerate_structures
+    def test_enumeration_that_raises_is_not_cached(self, mon, built,
+                                                   monkeypatch):
+        counting = semantics.enumerate_structures
 
         class Interrupted(Exception):
             pass
 
         def interrupted(theory, sizes):
-            for i, m in enumerate(real(theory, sizes)):
+            for i, m in enumerate(counting(theory, sizes)):
                 if sizes == {"*": 3} and i == 2:
                     raise Interrupted
                 yield m
@@ -470,9 +470,10 @@ class TestLazyModelSearch:
         monkeypatch.setattr(semantics, "enumerate_structures", interrupted)
         with pytest.raises(Interrupted):
             enumerate_models(mon, 3)
-        assert semantics._models_cached(mon, 3).filled == 0
-        monkeypatch.undo()
+        monkeypatch.setattr(semantics, "enumerate_structures", counting)
+        del built[:]
         assert enumerate_models(mon, 3) == eager_models(mon, 3)
+        assert len(built) == len(eager_models(mon, 3))
 
 
 class TestMonotonicity:
@@ -527,6 +528,19 @@ class TestTextFormats:
     def test_carrier_given_twice(self, pos):
         text = "model m of pos\ncarrier *: a b;\ncarrier *: c;\n"
         with pytest.raises(ParseError, match=r"carrier \* given twice"):
+            parse_model(text, pos.signature)
+
+    def test_carrier_for_unknown_sort(self, pos):
+        # reported like a table for an unknown relation, not dropped
+        bad = r"^bad structure 'm': carrier for unknown sort 'bogus'$"
+        with pytest.raises(SemanticsError, match=bad):
+            make_structure("m", pos.signature, {"*": ("a",), "bogus": ("b",)})
+        with pytest.raises(SemanticsError,
+                           match="table for unknown relation 'nope'"):
+            make_structure("m", pos.signature, {"*": ("a",)},
+                           rels={"nope": []})
+        text = "model m of pos\ncarrier *: a;\ncarrier bogus: b;\n"
+        with pytest.raises(SemanticsError, match=bad):
             parse_model(text, pos.signature)
 
     def test_fun_entry_given_twice(self, mon):
