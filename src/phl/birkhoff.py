@@ -42,13 +42,26 @@ class CanonicalForm:
     leaves: int
 
 
-def canonical_form(m: PartialStructure) -> CanonicalForm:
+def canonical_form(m: PartialStructure, shapes: dict | None = None) -> CanonicalForm:
     """The canonical form of m (cached on the structure), found by
     individualization-refinement with automorphism pruning (McKay &
-    Piperno, "Practical graph isomorphism, II", 2014)."""
+    Piperno, "Practical graph isomorphism, II", 2014).
+
+    The search reads only the signature, the carrier sizes and the set of
+    view entries, m's numbered shape, so structures of one shape share one
+    form.  `shapes`, when given, maps each shape searched so far to its
+    form; a caller canonicalizing a batch keeps it for that batch only."""
     form = m.__dict__.get("_canonical_form")
     if form is None:
-        form = _CanonicalSearch(m).run()
+        if shapes is None:
+            form = _CanonicalSearch(m).run()
+        else:
+            view, sig = m.view, m.signature
+            shape = (sig, tuple(len(m.carrier(s)) for s in sig.sorts),
+                     tuple(sorted(view.funcs + view.rels)))
+            form = shapes.get(shape)
+            if form is None:
+                form = shapes[shape] = _CanonicalSearch(m).run()
         object.__setattr__(m, "_canonical_form", form)
     return form
 
@@ -230,16 +243,17 @@ def fingerprint(m: PartialStructure) -> tuple:
 # "is this new up to iso?" is one dict lookup.
 
 def _index(models) -> dict[tuple, PartialStructure]:
-    return {canonical_form(m).certificate: m for m in models}
+    shapes: dict = {}
+    return {canonical_form(m, shapes).certificate: m for m in models}
 
 
 def _has_iso(index: dict, m: PartialStructure) -> bool:
     return canonical_form(m).certificate in index
 
 
-def _add_new(index: dict, m: PartialStructure) -> bool:
+def _add_new(index: dict, m: PartialStructure, shapes: dict) -> bool:
     """Index m unless it is isomorphic to an indexed structure."""
-    cert = canonical_form(m).certificate
+    cert = canonical_form(m, shapes).certificate
     if cert in index:
         return False
     index[cert] = m
@@ -248,7 +262,9 @@ def _add_new(index: dict, m: PartialStructure) -> bool:
 
 def iso_collapse(models) -> list[PartialStructure]:
     index: dict = {}
-    return [m for m in sorted(models, key=fingerprint) if _add_new(index, m)]
+    shapes: dict = {}
+    return [m for m in sorted(models, key=fingerprint)
+            if _add_new(index, m, shapes)]
 
 
 @dataclass(frozen=True)
@@ -290,10 +306,11 @@ class ModelUniverse:
         added, skipped = [], []
         new = list(self.models)
         index = dict(self.index)
+        shapes: dict = {}
         for label, m in candidates:
             if m is None:
                 skipped.append(label)
-            elif _add_new(index, m):
+            elif _add_new(index, m, shapes):
                 self._check_model(m)
                 new.append(m)
                 added.append(label)
@@ -330,8 +347,8 @@ def _closed_submodels(models):
         if b.size() > SUBMODEL_ENUM_CAP:
             yield b.name, None, True
             continue
-        for _, sub, first in closed_submodels(b, canonical_form(b).generators):
-            yield f"{b.name}|{sub.size()}", sub, first
+        for closed, sub, first in closed_submodels(b, canonical_form(b).generators):
+            yield f"{b.name}|{closed.bit_count()}", sub, first
 
 
 def close_P(universe: ModelUniverse) -> tuple[ModelUniverse, ClosureReport]:

@@ -107,18 +107,17 @@ class _ClosureIndex:
 
 def _mask_permutation(perm) -> Callable[[int], int]:
     """The map on `_ClosureIndex` masks that sends each element i of the
-    view to element perm[i]."""
+    view to element perm[i], as two lookup tables: one for the low byte of
+    a mask and one for the bits above it.  The second has 2^(n-8) entries
+    for n > 8 elements, few beside the 2^n masks of a subset scan."""
     top = len(perm) - 1
     image = [1 << (top - perm[top - j]) for j in range(len(perm))]
-
-    def apply(mask: int) -> int:
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= image[low.bit_length() - 1]
-            mask ^= low
-        return out
-    return apply
+    low, high = [0], [0]              # entry k: the image of the bits of k
+    for bit in image[:8]:
+        low += [x | bit for x in low]
+    for bit in image[8:]:
+        high += [x | bit for x in high]
+    return lambda mask: low[mask & 255] | high[mask >> 8]
 
 
 def closed_submodel_generated(b: PartialStructure,

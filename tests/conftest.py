@@ -282,6 +282,22 @@ def full_mask_scan(b):
             yield closed, index.induced(closed)
 
 
+def bit_loop_mask_permutation(perm):
+    """morphology._mask_permutation as it was before its lookup tables:
+    the image of a mask gathered one set bit at a time."""
+    top = len(perm) - 1
+    image = [1 << (top - perm[top - j]) for j in range(len(perm))]
+
+    def apply(mask: int) -> int:
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= image[low.bit_length() - 1]
+            mask ^= low
+        return out
+    return apply
+
+
 # ---------------------------------------------------------------------------
 # automorphism groups by brute force and by Schreier-Sims: the oracles for
 # the generators of birkhoff.canonical_form

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -17,10 +18,11 @@ from phl.semantics import (
     enumerate_homs, enumerate_models, enumerate_structures, holds,
     identity_hom, is_model, make_structure, product, size_profiles,
 )
-from phl.syntax import NamedAxiom, parse_sequent
+from phl.syntax import NamedAxiom, parse_sequent, parse_theory
 from phl.theories import (
-    antichain_poset, cat_theory, chain_poset, mon_inv_theory, mon_theory,
-    pos_theory, preorder_theory, set_theory, zmod_monoid,
+    MON_INV_SRC, PREORDER_SRC, antichain_poset, cat_theory, chain_poset,
+    mon_inv_theory, mon_theory, pos_theory, preorder_theory, set_theory,
+    zmod_monoid,
 )
 from phl.translation import U_rho_hom, make_theory_morphism
 
@@ -312,14 +314,19 @@ class TestCanonicalForm:
         assert find_iso(empty, chain_poset(1)) is None
 
 
+# the two experiments of the definability benchmark, posets among preorders
+# and groups among monoids with a partial inverse, pools up to size 3:
+# (label, theory, judgment, depth, size cap)
+BENCHMARK_EXPERIMENTS = (
+    ("posets", preorder_theory(), "[x:*, y:*] leq(x,y) /\\ leq(y,x) |- x = y",
+     2, 30),
+    ("groups", mon_inv_theory(), "[x:*] true |- def(inv(x))", 3, 20))
+
+
 def definability_members():
     """(label, universe after close_P) for the two experiments of the
-    definability benchmark: posets among preorders and groups among monoids
-    with a partial inverse, pools up to size 3."""
-    for label, theory, text, cap in (
-            ("posets", preorder_theory(),
-             "[x:*, y:*] leq(x,y) /\\ leq(y,x) |- x = y", 30),
-            ("groups", mon_inv_theory(), "[x:*] true |- def(inv(x))", 20)):
+    definability benchmark."""
+    for label, theory, text, _, cap in BENCHMARK_EXPERIMENTS:
         seq = parse_sequent(text, theory.signature)
         pool = iso_collapse(enumerate_models(theory, 3))
         u = ModelUniverse(theory, [m for m in pool if holds(m, seq).ok], cap)
@@ -573,6 +580,104 @@ class TestWitnessSearch:
             assert len(set(pairs)) == len(pairs)
             total += len(pairs)
         assert total
+
+
+def same_shape_copy(m, name):
+    """A copy of m with the same numbered shape: its elements renamed but
+    listed in the same order, its tables filled in reverse order."""
+    sig = m.signature
+    ren = {s: {a: f"q{i}" for i, a in enumerate(m.carrier(s))} for s in sig.sorts}
+    funcs = {f.name: {tuple(ren[t][a] for a, t in zip(args, f.arg_sorts)):
+                      ren[f.result][v]
+                      for args, v in reversed(m.func_table(f.name).items())}
+             for f in sig.functions}
+    rels = {r.name: [tuple(ren[t][a] for a, t in zip(args, r.arg_sorts))
+                     for args in reversed(list(m.rel_table(r.name)))]
+            for r in sig.relations}
+    carriers = {s: [ren[s][a] for a in m.carrier(s)] for s in sig.sorts}
+    return make_structure(name, sig, carriers, funcs, rels)
+
+
+def benchmark_definability(theory, text, depth, cap):
+    """One experiment of the definability benchmark on a fresh copy of its
+    pool, whose structures carry no canonical form yet."""
+    j = NamedAxiom("j", parse_sequent(text, theory.signature))
+    pool = [replace(m) for m in enumerate_models(theory, 3)]
+    return definability_check(theory, [j], pool, depth=depth, size_cap=cap)
+
+
+def memo_reports(case):
+    """The reports of the benchmark experiment named `case`, or of
+    hsp_closure on each universe of TestWitnessSearch, by repr."""
+    if case == "hsp":
+        return [repr((rep, [m.name for m in closed.models]))
+                for closed, rep in (hsp_closure(u, pool) for u, pool in hsp_cases())]
+    for label, *experiment in BENCHMARK_EXPERIMENTS:
+        if label == case:
+            return [repr(benchmark_definability(*experiment))]
+
+
+class TestShapeMemo:
+    """Batch callers of `canonical_form` search each numbered shape once:
+    the shared form must be the one a fresh search of each structure finds,
+    and the memo must not outlive the call that made it."""
+
+    @pytest.mark.parametrize("theory", [pos_theory(), preorder_theory(),
+                                        mon_theory(), mon_inv_theory(),
+                                        cat_theory()],
+                             ids=["pos", "preord", "mon", "mon_inv", "cat"])
+    def test_memoized_form_equals_fresh_search(self, theory):
+        """Every field (certificate, labelling, generators, nodes, leaves)
+        equal, on every structure with at most 4 elements and on a copy of
+        each with renamed elements and tables filled in another order."""
+        structures = structures_up_to(theory, 4)
+        copies = [same_shape_copy(m, f"c{i}") for i, m in enumerate(structures)]
+        mixed = structures + copies
+        random.Random(11).shuffle(mixed)
+        shapes: dict = {}
+        for m in mixed:
+            assert canonical_form(m, shapes) == birkhoff._CanonicalSearch(m).run(), \
+                m.name
+        for m, c in zip(structures, copies):
+            assert canonical_form(c) is canonical_form(m)
+        assert len(shapes) <= len(structures)
+        assert any(c.view.funcs + c.view.rels != m.view.funcs + m.view.rels
+                   for m, c in zip(structures, copies))
+
+    @pytest.mark.parametrize("case", ["posets", "groups", "hsp"])
+    def test_same_reports_as_fresh_searches(self, monkeypatch, case):
+        memoized = memo_reports(case)
+        monkeypatch.setattr(birkhoff, "canonical_form",
+                            lambda m, shapes=None: birkhoff._CanonicalSearch(m).run())
+        assert memo_reports(case) == memoized
+
+    def test_no_memo_outlives_its_call(self, monkeypatch):
+        """Two identical runs of both benchmark experiments search as often
+        as each other, and less often than with no shape memo.  A symbol of
+        each theory is renamed, so no earlier test has seen its shapes."""
+        experiments = [
+            (parse_theory(PREORDER_SRC.replace("leq", "scope_leq")),
+             "[x:*, y:*] scope_leq(x,y) /\\ scope_leq(y,x) |- x = y", 2, 30),
+            (parse_theory(MON_INV_SRC.replace("mul", "scope_mul")),
+             "[x:*] true |- def(inv(x))", 3, 20)]
+        real_run, real_form = birkhoff._CanonicalSearch.run, birkhoff.canonical_form
+        runs = []
+
+        def counted(search):
+            runs.append(search.n)
+            return real_run(search)
+
+        def searches():
+            runs.clear()
+            for experiment in experiments:
+                benchmark_definability(*experiment)
+            return len(runs)
+
+        monkeypatch.setattr(birkhoff._CanonicalSearch, "run", counted)
+        first, second = searches(), searches()
+        monkeypatch.setattr(birkhoff, "canonical_form",
+                            lambda m, shapes=None: real_form(m))
+        assert first == second < searches()
 
 
 class TestClosureOperators:

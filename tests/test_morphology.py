@@ -6,9 +6,9 @@ import pytest
 from phl.birkhoff import SUBMODEL_ENUM_CAP, _closed_submodels
 from phl.freemodel import representing_model, repn_morphism
 from phl.morphology import (
-    MorphologyError, closed_submodel_generated, diagonal_fillers, factorize,
-    is_closed_mono, is_dense, is_injective, is_retraction, is_surjective,
-    is_U_retraction, orthogonal,
+    MorphologyError, _mask_permutation, closed_submodel_generated,
+    diagonal_fillers, factorize, is_closed_mono, is_dense, is_injective,
+    is_retraction, is_surjective, is_U_retraction, orthogonal,
 )
 from phl.semantics import (
     Homomorphism, PartialStructure, check_hom, compose_homs, enumerate_homs,
@@ -22,7 +22,7 @@ from phl.theories import (
 )
 from phl.translation import identity_morphism, make_theory_morphism, U_rho_hom
 
-from conftest import guarded_find_iso, partial_hom_ok
+from conftest import bit_loop_mask_permutation, guarded_find_iso, partial_hom_ok
 from test_semantics import hom_corpus_with_constructions
 
 
@@ -371,6 +371,17 @@ class TestClosedSubmodelsAgainstSubsetScan:
             else:
                 assert id(sub) in built and guarded_find_iso(full, sub), label
         assert any(sub is not None for _, sub, _ in got)
+
+    @pytest.mark.parametrize("n", range(1, SUBMODEL_ENUM_CAP + 1))
+    def test_mask_permutation_matches_bit_loop(self, n):
+        """The lookup tables give the bit loop's image of every mask, for
+        up to 8 elements (the low-byte table alone) and beyond (both)."""
+        rng = random.Random(n)
+        for _ in range(3):
+            perm = rng.sample(range(n), n)
+            got, want = _mask_permutation(perm), bit_loop_mask_permutation(perm)
+            assert [got(mask) for mask in range(1 << n)] == \
+                [want(mask) for mask in range(1 << n)], perm
 
     def test_generated_matches_oracle_on_random_subsets(self):
         rng = random.Random(7)
