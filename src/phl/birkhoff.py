@@ -387,9 +387,12 @@ def close_R(universe: ModelUniverse, pool,
             u_hom: Callable[[Homomorphism], Homomorphism] | None = None
             ) -> tuple[ModelUniverse, ClosureReport]:
     """Add pool members that are (U-)retracts of universe members."""
-    return universe.grow(
-        (n.name, n) for n in pool if not universe.contains_iso(n) and
-        any(_retract_exists(m, n, u_hom) for m in universe.models))
+    return _close_R(universe, pool, universe.models, u_hom)
+
+
+def _close_R(universe: ModelUniverse, pool, bases, u_hom):
+    return universe.grow((n.name, n) for n in pool if not universe.contains_iso(n)
+                         and any(_retract_exists(m, n, u_hom) for m in bases))
 
 
 @dataclass(frozen=True)
@@ -406,13 +409,21 @@ def hsp_closure(universe: ModelUniverse, pool,
                 u_hom=None) -> tuple[ModelUniverse, HspReport]:
     """One application of retracts after closed submodels after products; a
     second pass restricted to the pool is asserted to add nothing."""
+    closed, rp, rs, rr, witnesses = _closure(universe, pool, u_hom, close_Scl)
+    return closed, HspReport(rp.added, rs.added, rr.added,
+                             rp.skipped + rs.skipped, not witnesses, witnesses)
+
+
+def _closure(universe: ModelUniverse, pool, u_hom, close_scl):
+    """P, then the submodel step `close_scl`, R over the pool and witnesses."""
     after_p, rp = close_P(universe)
-    after_s, rs = close_Scl(after_p)
-    after_r, rr = close_R(after_s, pool, u_hom)
-    witnesses = _pool_growth_witnesses(after_r, rr.added, pool)
-    report = HspReport(rp.added, rs.added, rr.added,
-                       rp.skipped + rs.skipped, not witnesses, witnesses)
-    return after_r, report
+    after_s, rs = close_scl(after_p)
+    # Plain retracts are closed submodels (see _pool_growth_witnesses): a fact
+    # of the operators, true for every class, so it skips no judging.
+    bases = [m for m in after_s.models
+             if u_hom is not None or m.size() > SUBMODEL_ENUM_CAP]
+    closed, rr = _close_R(after_s, pool, bases, u_hom)
+    return closed, rp, rs, rr, _pool_growth_witnesses(closed, rr.added, pool)
 
 
 def _pool_growth_witnesses(closure: ModelUniverse, r_added,
@@ -421,11 +432,13 @@ def _pool_growth_witnesses(closure: ModelUniverse, r_added,
     would reach as a small product or a closed submodel.  Only the members
     named in r_added, which the retract step added, have their closed
     submodels enumerated: any other member went through the submodel step
-    or is a closed submodel of one that did.  No retract is searched:
-    close_R found each missing pool member a (U-)retract of none of the
-    members it started from, every member it added is a (U-)retract of one
-    of those, and (U-)retractions compose (U is a functor), so the missing
-    member is a (U-)retract of no closure member either."""
+    or is a closed submodel of one that did.  No retract is searched.  A
+    plain retract n of m is isomorphic to the closed submodel of m on the
+    image of its section (closed and carrying n's tables, as r.s = id), so
+    the submodel step reached it unless m is too large to enumerate; the
+    retract step searched those, or all with `u_hom`.  So a missing pool
+    member is a (U-)retract of no member it started from, nor, as
+    (U-)retractions compose (U is a functor), of one it added."""
     missing = [n for n in pool if not closure.contains_iso(n)]
     if not missing:
         return ()
@@ -458,7 +471,7 @@ class DefinabilityReport:
 
 
 def definability_check(theory: Theory, judgments, pool, depth: int = 4,
-                       size_cap: int = 64, u_hom=None) -> DefinabilityReport:
+                       size_cap: int = 64) -> DefinabilityReport:
     """Check that the subclass of the pool defined by the judgments is an
     hsp fixed point, and that each judgment's orthogonality characterization
     agrees with validity on the whole pool.
@@ -471,9 +484,8 @@ def definability_check(theory: Theory, judgments, pool, depth: int = 4,
     pool = iso_collapse(pool)
     by_name = {}
     for m in pool:
-        if m.name in by_name:
+        if by_name.setdefault(m.name, m) is not m:
             raise BirkhoffError(f"duplicate pool model name '{m.name}'")
-        by_name[m.name] = m
     max_pool = max((m.size() for m in pool), default=0)
 
     def violates(m):
@@ -482,10 +494,6 @@ def definability_check(theory: Theory, judgments, pool, depth: int = 4,
     universe = ModelUniverse(theory, [m for m in pool if not violates(m)],
                              size_cap)
     failures: list[str] = []
-    insufficiency: list[str] = []
-    after_p, rp = close_P(universe)
-    insufficiency.extend(f"product skipped: {x}" for x in rp.skipped)
-    failures.extend(m.name for m in after_p.models if violates(m))
 
     def judged(candidates):
         """Judge every closed submodel, each orbit's first one with `holds`
@@ -503,13 +511,15 @@ def definability_check(theory: Theory, judgments, pool, depth: int = 4,
             if first and (sub is None or sub.size() <= max_pool):
                 yield label, sub
 
-    after_s, rs = after_p.grow(judged(_closed_submodels(after_p.models)))
-    insufficiency.extend(f"submodels not enumerated: {x}" for x in rs.skipped)
-    closed, rr = close_R(after_s, pool, u_hom)
-    failures.extend(name for name in rr.added if violates(by_name[name]))
-    witnesses = _pool_growth_witnesses(closed, rr.added, pool)
-    failures.extend(w for w in witnesses if violates(by_name[w]))
+    def close_scl(after_p):
+        failures.extend(m.name for m in after_p.models if violates(m))
+        return after_p.grow(judged(_closed_submodels(after_p.models)))
+
+    closed, rp, rs, rr, witnesses = _closure(universe, pool, None, close_scl)
+    failures.extend(n for n in rr.added + witnesses if violates(by_name[n]))
     pool_index = _index(pool)
+    insufficiency = [f"product skipped: {x}" for x in rp.skipped]
+    insufficiency.extend(f"submodels not enumerated: {x}" for x in rs.skipped)
     insufficiency.extend(f"outside pool: {m.name}" for m in closed.models
                          if not _has_iso(pool_index, m))
 

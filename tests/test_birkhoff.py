@@ -7,7 +7,7 @@ import pytest
 from phl import birkhoff
 from phl.birkhoff import (
     PRODUCT_ARITY, SUBMODEL_ENUM_CAP, BirkhoffError, ClosureReport,
-    ComponentPoset, FiniteCategory,
+    ComponentPoset, FiniteCategory, HspReport,
     ModelUniverse, acc_report, close_P, close_R, close_Scl, component_diagram,
     canonical_form, definability_check, find_iso, hsp_closure, iso_collapse,
     make_finite_category, posetification,
@@ -580,6 +580,60 @@ class TestWitnessSearch:
             assert len(set(pairs)) == len(pairs)
             total += len(pairs)
         assert total
+
+
+class TestClosurePipeline:
+    """`hsp_closure` and `definability_check` share one pipeline, whose
+    retract step searches only the members too large for the submodel step
+    to enumerate, unless a `u_hom` is given."""
+
+    def test_same_as_standalone_operators(self):
+        """close_P, close_Scl and close_R chained, the last searching every
+        member, give the same report and members as hsp_closure."""
+        for u, pool in hsp_cases():
+            closed, rep = hsp_closure(u, pool)
+            after_p, rp = close_P(u)
+            after_s, rs = close_Scl(after_p)
+            full, rr = close_R(after_s, pool)
+            witnesses = reference_witnesses(full, pool, PRODUCT_ARITY)
+            assert rep == HspReport(rp.added, rs.added, rr.added,
+                                    rp.skipped + rs.skipped, not witnesses,
+                                    witnesses)
+            assert [m.name for m in closed.models] == [m.name for m in full.models]
+
+    def test_no_missing_retract_within_cap(self, monkeypatch):
+        """The lemma the retract step rests on, checked by search: after the
+        submodel step, no pool member still missing is a retract of a member
+        small enough for that step to enumerate."""
+        seen = []
+        real = birkhoff._close_R
+
+        def recorded(universe, pool, bases, u_hom):
+            seen.append((universe, pool))
+            return real(universe, pool, bases, u_hom)
+
+        monkeypatch.setattr(birkhoff, "_close_R", recorded)
+        for u, pool in hsp_cases():
+            hsp_closure(u, pool)
+        for _, *experiment in BENCHMARK_EXPERIMENTS:
+            benchmark_definability(*experiment)
+        pairs = [(m, n) for universe, pool in seen for m in universe.models
+                 if m.size() <= SUBMODEL_ENUM_CAP
+                 for n in pool if not universe.contains_iso(n)]
+        assert len(pairs) > 200
+        assert [(m.name, n.name) for m, n in pairs
+                if birkhoff._retract_exists(m, n)] == []
+
+    def test_u_retracts_searched_in_every_member(self):
+        """A U-retract need not be a closed submodel: with a `u_hom` the
+        retract step searches members the submodel step enumerated too."""
+        mon = mon_theory()
+        pool = iso_collapse(enumerate_models(mon, 3))
+        u = ModelUniverse(mon, [m for m in pool if m.name == "M11"], 9)
+        rho = make_theory_morphism("u", set_theory(), mon, {"*": "*"}, {}, {})
+        assert hsp_closure(u, pool)[1].r_added == ()
+        _, rep = hsp_closure(u, pool, lambda f: U_rho_hom(rho, f))
+        assert rep.r_added == ("M1", "M17")
 
 
 def same_shape_copy(m, name):

@@ -2,11 +2,10 @@
 by their table entries: `semantics.product`, `birkhoff.canonical_form` with
 `find_iso` and `iso_collapse`, and `freemodel.TermGraph.lookup`.  Each is
 compared with the version it replaced, kept here or in `conftest.py` as the
-reference: products over the whole argument space, iso dedup by colour
-refinement and a hom search guarded by `check_hom` on the inverse (whose
-colours are in turn checked against a refinement that rescans every table
-per element), and lookup through a compiled `term = y` clause run on every
-class."""
+reference: products over the whole argument space, iso dedup by a colour
+refinement that rescans every table per element, a hom search guarded by
+`check_hom` on the inverse, and lookup through a compiled `term = y` clause
+run on every class."""
 import functools
 import itertools
 import math
@@ -203,14 +202,6 @@ def corpus(name):
     return models + copies + products + subs
 
 
-def partition(inv):
-    classes = {}
-    for s, colours in inv.items():
-        for a, c in colours.items():
-            classes.setdefault(c, set()).add((s, a))
-    return {frozenset(c) for c in classes.values()}
-
-
 def groups(models, key):
     """The indices of `models`, grouped by equal key."""
     out = {}
@@ -225,20 +216,12 @@ def groups(models, key):
 
 @pytest.mark.parametrize("name", sorted(THEORIES))
 class TestColourRefinement:
-    def test_same_colour_classes(self, name):
-        """The colours of the oracle in `conftest.py` that the canonical
-        forms are checked against."""
-        models = corpus(name)
-        assert len(models) > 100
-        for m in models:
-            assert partition(element_invariants(m)) == \
-                partition(reference_element_invariants(m)), m.name
-
     def test_same_dedup_decisions(self, name):
         """Colour values are compressed in their own order, not their
         `repr`'s, so two structures that are not isomorphic may agree on one
         iso key and differ on the other; the kept models must not change."""
         models = corpus(name)
+        assert len(models) > 100
         assert {id(m) for m in birkhoff.iso_collapse(models)} == \
             reference_collapse(models)
 
