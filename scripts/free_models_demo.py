@@ -3,13 +3,13 @@
 join-semilattice on two generators built from a relative theory."""
 import argparse
 
-from phl.freemodel import free_algebra, representing_model
+from phl.freemodel import representing_model
 from phl.semantics import make_structure, print_model
 from phl.syntax import (
     App, Context, Eq, NamedAxiom, Sequent, TRUE, Var, parse_formula_in_context,
 )
 from phl.theories import mon_theory, pos_theory, set_theory
-from phl.translation import RelOperator, make_relative_theory
+from phl.translation import RelOperator, free_algebra, make_relative_theory
 
 
 def semilattice():

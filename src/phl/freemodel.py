@@ -19,8 +19,8 @@ from .semantics import (
     interp_term, is_model,
 )
 from .syntax import (
-    EQ, FUN, REL, TERM, TRUE, App, Context, Eq, Formula, PhlError, RelApp,
-    Signature, Term, Theory, Var, conj, conjuncts, flatten, print_term,
+    EQ, FUN, REL, TERM, TRUE, App, Context, Eq, Formula, PhlError, Signature,
+    Term, Theory, Var, conj, conjuncts, flatten, print_term,
     subst_formula, subst_term, term_depth, well_formed,
 )
 
@@ -690,66 +690,3 @@ def repn_coequalizer(f: RepnMorphism, g: RepnMorphism, depth: int) -> ModelPrese
     eqs = [Eq(a, b) for a, b in zip(f.terms, g.terms)]
     formula = conj(list(conjuncts(f.target.constraint)) + eqs)
     return representing_model(f.target.theory, f.target.context, formula, depth)
-
-
-# ---------------------------------------------------------------------------
-# free algebras over a relative theory
-
-@dataclass(frozen=True)
-class FreeAlgebraResult:
-    presentation: ModelPresentation
-    unit: Homomorphism          # base model -> underlying structure of the free algebra
-    generators: dict[str, tuple[str, str]]  # variable -> (sort, base element)
-
-
-def free_algebra(rel_theory, base_model: PartialStructure,
-                 depth: int) -> FreeAlgebraResult:
-    """Free algebra on a base-theory model, as the representing model of the
-    model's diagram: one generator per element, one constraint per table
-    entry."""
-    from .translation import pht_of
-    theory = pht_of(rel_theory)
-    sig = base_model.signature
-    var_of: dict[tuple[str, str], str] = {}
-    ctx_entries = []
-    generators = {}
-    i = 0
-    for s in sig.sorts:
-        for a in base_model.carrier(s):
-            v = f"g{i}"
-            i += 1
-            var_of[(s, a)] = v
-            ctx_entries.append((v, s))
-            generators[v] = (s, a)
-    ctx = Context(tuple(ctx_entries))
-    atoms: list[Formula] = []
-    for fdecl in sig.functions:
-        for args, val in sorted(base_model.func_table(fdecl.name).items()):
-            term = App(fdecl.name,
-                       tuple(Var(var_of[(s, a)]) for s, a in zip(fdecl.arg_sorts, args)))
-            atoms.append(Eq(term, Var(var_of[(fdecl.result, val)])))
-    for rdecl in sig.relations:
-        for args in sorted(base_model.rel_table(rdecl.name)):
-            atoms.append(RelApp(rdecl.name,
-                                tuple(Var(var_of[(s, a)])
-                                      for s, a in zip(rdecl.arg_sorts, args))))
-    constraint = conj(atoms)
-    p = representing_model(theory, ctx, constraint, depth)
-
-    underlying = forget_to_base(p.structure, sig)
-    maps: dict[str, dict[str, str]] = {s: {} for s in sig.sorts}
-    for (s, a), v in var_of.items():
-        c = p.graph.find(p.graph.vars[v])
-        maps[s][a] = p.rep_ids[c]
-    unit = Homomorphism("unit", base_model, underlying, maps)
-    if not check_hom(unit):
-        raise FreeModelError("unit of the free algebra is not a homomorphism")
-    return FreeAlgebraResult(p, unit, generators)
-
-
-def forget_to_base(m: PartialStructure, base_sig: Signature) -> PartialStructure:
-    """Drop operator tables, keeping only the base-signature part."""
-    funcs = {f.name: dict(m.func_table(f.name)) for f in base_sig.functions}
-    rels = {r.name: m.rel_table(r.name) for r in base_sig.relations}
-    carriers = {s: m.carrier(s) for s in base_sig.sorts}
-    return PartialStructure(m.name, base_sig, carriers, funcs, rels)

@@ -6,11 +6,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from .birkhoff import FiniteCategory, _category_diagnostics
-from .freemodel import ModelPresentation, representing_model
+from .freemodel import FreeModelError, ModelPresentation, representing_model
 from .prover import prove
 from .semantics import (
-    Homomorphism, PartialStructure, enumerate_structures, interp_formula,
-    interp_term, is_model,
+    Homomorphism, PartialStructure, check_hom, enumerate_structures,
+    interp_formula, interp_term, is_model,
 )
 from .syntax import (
     App, Conj, Context, Eq, Formula, FuncDecl, NamedAxiom, PhlError, RelApp,
@@ -148,18 +148,22 @@ def translate_term(rho: TheoryMorphism, t: Term) -> Term:
     return subst_term(a.term, assignment)
 
 
-def _definedness_obligations(rho: TheoryMorphism, t: Term) -> list[Formula]:
+def _argument_obligations(rho: TheoryMorphism, params, body, args) -> list[Formula]:
     """Extra conjuncts making the naive translation track composite
-    definedness when an assignment drops arguments."""
-    if isinstance(t, Var):
-        return []
+    definedness when an assignment's body drops arguments."""
     out: list[Formula] = []
-    a = rho.func_map[t.func]
-    for p, arg in zip(a.params, t.args):
+    for p, arg in zip(params, args):
         out.extend(_definedness_obligations(rho, arg))
-        if p not in free_vars(a.term):
+        if p not in free_vars(body):
             out.append(defined(translate_term(rho, arg)))
     return out
+
+
+def _definedness_obligations(rho: TheoryMorphism, t: Term) -> list[Formula]:
+    if isinstance(t, Var):
+        return []
+    a = rho.func_map[t.func]
+    return _argument_obligations(rho, a.params, a.term, t.args)
 
 
 def translate_formula(rho: TheoryMorphism, f: Formula) -> Formula:
@@ -173,11 +177,7 @@ def translate_formula(rho: TheoryMorphism, f: Formula) -> Formula:
         core = Eq(translate_term(rho, f.lhs), translate_term(rho, f.rhs))
         return conj(dict.fromkeys([core] + extras))
     a = rho.rel_map[f.rel]
-    extras = []
-    for p, arg in zip(a.params, f.args):
-        extras.extend(_definedness_obligations(rho, arg))
-        if p not in free_vars(a.formula):
-            extras.append(defined(translate_term(rho, arg)))
+    extras = _argument_obligations(rho, a.params, a.formula, f.args)
     assignment = {p: translate_term(rho, arg) for p, arg in zip(a.params, f.args)}
     core = subst_formula(a.formula, assignment)
     return conj(dict.fromkeys([*conjuncts(core), *extras]))
@@ -305,17 +305,21 @@ def _relative_diagnostics(rt: RelativeTheory) -> list[str]:
         out.extend(f"arity of '{op.name}': {d}" for d in diags)
         if op.result not in base_sig.sorts:
             out.append(f"operator '{op.name}' has unknown type '{op.result}'")
-    base_symbols = {f.name for f in base_sig.functions}
     for j in rt.judgments:
         diags = well_formed(j.sequent, ext_sig)
         out.extend(f"judgment '{j.name}': {d}" for d in diags)
-        prem_funcs = {t.func for a in atoms(j.sequent.premise)
-                      for arg in ((a.lhs, a.rhs) if isinstance(a, Eq) else a.args)
-                      for t in subterms(arg) if isinstance(t, App)}
-        foreign = prem_funcs - base_symbols
+        foreign = {t.func for t in _operator_apps(rt, j.sequent.premise)}
         if foreign:
             out.append(f"judgment '{j.name}' premise uses operators {sorted(foreign)}")
     return out
+
+
+def _operator_apps(rt: RelativeTheory, f: Formula) -> list[App]:
+    """The applications of `rt`'s operators among the subterms of `f`."""
+    ops = {op.name for op in rt.operators}
+    return [t for a in atoms(f)
+            for arg in ((a.lhs, a.rhs) if isinstance(a, Eq) else a.args)
+            for t in subterms(arg) if isinstance(t, App) and t.func in ops]
 
 
 def _extended_signature(rt: RelativeTheory) -> Signature:
@@ -351,6 +355,57 @@ def is_algebra(m: PartialStructure, rt: RelativeTheory):
 
 
 @dataclass(frozen=True)
+class FreeAlgebraResult:
+    presentation: ModelPresentation
+    unit: Homomorphism          # base model -> underlying structure of the free algebra
+    generators: dict[str, tuple[str, str]]  # variable -> (sort, base element)
+
+
+def free_algebra(rel_theory: RelativeTheory, base_model: PartialStructure,
+                 depth: int) -> FreeAlgebraResult:
+    """Free algebra on a base-theory model, as the representing model of the
+    model's diagram: one generator per element, one constraint per table
+    entry."""
+    theory = pht_of(rel_theory)
+    sig = base_model.signature
+    var_of: dict[tuple[str, str], str] = {}
+    ctx_entries = []
+    generators = {}
+    i = 0
+    for s in sig.sorts:
+        for a in base_model.carrier(s):
+            v = f"g{i}"
+            i += 1
+            var_of[(s, a)] = v
+            ctx_entries.append((v, s))
+            generators[v] = (s, a)
+    ctx = Context(tuple(ctx_entries))
+    diagram: list[Formula] = []
+    for fdecl in sig.functions:
+        for args, val in sorted(base_model.func_table(fdecl.name).items()):
+            term = App(fdecl.name,
+                       tuple(Var(var_of[(s, a)]) for s, a in zip(fdecl.arg_sorts, args)))
+            diagram.append(Eq(term, Var(var_of[(fdecl.result, val)])))
+    for rdecl in sig.relations:
+        for args in sorted(base_model.rel_table(rdecl.name)):
+            diagram.append(RelApp(rdecl.name,
+                                  tuple(Var(var_of[(s, a)])
+                                        for s, a in zip(rdecl.arg_sorts, args))))
+    p = representing_model(theory, ctx, conj(diagram), depth)
+
+    underlying = U_rho(inclusion_morphism(rel_theory.base, theory), p.structure,
+                       check=False)
+    maps: dict[str, dict[str, str]] = {s: {} for s in sig.sorts}
+    for (s, a), v in var_of.items():
+        c = p.graph.find(p.graph.vars[v])
+        maps[s][a] = p.rep_ids[c]
+    unit = Homomorphism("unit", base_model, underlying, maps)
+    if not check_hom(unit):
+        raise FreeModelError("unit of the free algebra is not a homomorphism")
+    return FreeAlgebraResult(p, unit, generators)
+
+
+@dataclass(frozen=True)
 class RelMorphism:
     """Morphism of relative theories over a fixed base: operators to terms."""
     name: str
@@ -359,41 +414,47 @@ class RelMorphism:
     op_map: dict[str, Term]
 
 
-def rel_morphism_obligations(rho: RelMorphism, depth: int = 4) -> ObligationReport:
-    tgt_theory = pht_of(rho.target)
-    statuses = []
-    for op in rho.source.operators:
-        t = rho.op_map[op.name]
-        res = prove(tgt_theory, Sequent(op.arity_context, op.arity, defined(t)),
-                    depth=depth, model_size=0)
-        statuses.append((f"{op.name}_defined", res.verdict))
+def _induced_morphism(rho: RelMorphism) -> TheoryMorphism:
+    """The morphism pht_of(S) -> pht_of(T) fixing the base and sending each
+    operator to its term over the operator's arity context."""
+    base = identity_morphism(rho.source.base)
+    if fixed := sorted(rho.op_map.keys() & base.func_map.keys()):
+        raise TranslationError(f"morphism '{rho.name}' maps base functions {fixed}")
+    params = {op.name: op.arity_context.names for op in rho.source.operators}
+    ops = {f: FuncAssignment(params.get(f, ()), t) for f, t in rho.op_map.items()}
+    return make_theory_morphism(rho.name, pht_of(rho.source), pht_of(rho.target),
+                                base.sort_map, {**ops, **base.func_map},
+                                base.rel_map)
+
+
+def _rel_obligations(rho: RelMorphism) -> tuple[Theory, list[tuple[str, Sequent]]]:
+    """pht_of(T) and the named sequents it must prove: each operator's term
+    is defined on its arity, and each judgment translates along the induced
+    morphism, its conclusion first conjoined with the arity of every
+    operator application in it."""
+    induced = _induced_morphism(rho)
+    ops = {op.name: op for op in rho.source.operators}
+    out = [(f"{op.name}_defined", Sequent(op.arity_context, op.arity,
+                                          defined(rho.op_map[op.name])))
+           for op in rho.source.operators]
     for j in rho.source.judgments:
-        translated = Sequent(j.sequent.context, j.sequent.premise,
-                             _replace_ops(rho, j.sequent.conclusion))
-        res = prove(tgt_theory, translated, depth=depth, model_size=0)
-        statuses.append((j.name, res.verdict))
-    return ObligationReport(tuple(statuses))
+        seq = j.sequent
+        arities = dict.fromkeys(
+            a for t in _operator_apps(rho.source, seq.conclusion)
+            for a in conjuncts(subst_formula(ops[t.func].arity, dict(zip(
+                ops[t.func].arity_context.names, t.args)))))
+        if arities:
+            seq = Sequent(seq.context, seq.premise,
+                          conj([*conjuncts(seq.conclusion), *arities]))
+        out.append((j.name, translate_sequent(induced, seq)))
+    return induced.target, out
 
 
-def _replace_ops_term(rho: RelMorphism, t: Term) -> Term:
-    if isinstance(t, Var):
-        return t
-    args = tuple(_replace_ops_term(rho, a) for a in t.args)
-    if t.func in rho.op_map:
-        src_op = next(op for op in rho.source.operators if op.name == t.func)
-        assignment = dict(zip(src_op.arity_context.names, args))
-        return subst_term(rho.op_map[t.func], assignment)
-    return App(t.func, args)
-
-
-def _replace_ops(rho: RelMorphism, f: Formula) -> Formula:
-    if isinstance(f, Truth):
-        return f
-    if isinstance(f, Conj):
-        return Conj(tuple(_replace_ops(rho, p) for p in f.parts))
-    if isinstance(f, Eq):
-        return Eq(_replace_ops_term(rho, f.lhs), _replace_ops_term(rho, f.rhs))
-    return RelApp(f.rel, tuple(_replace_ops_term(rho, a) for a in f.args))
+def rel_morphism_obligations(rho: RelMorphism, depth: int = 4) -> ObligationReport:
+    target, obligations = _rel_obligations(rho)
+    return ObligationReport(tuple(
+        (name, prove(target, seq, depth=depth, model_size=0).verdict)
+        for name, seq in obligations))
 
 
 @dataclass(frozen=True)
@@ -411,12 +472,14 @@ def morphism_equivalent(rho: RelMorphism, sigma: RelMorphism,
     each operator's two images equal under its arity."""
     if rho.source is not sigma.source and rho.source != sigma.source:
         raise TranslationError("morphisms have different sources")
-    tgt_theory = pht_of(rho.target)
+    if rho.target is not sigma.target and rho.target != sigma.target:
+        raise TranslationError("morphisms have different targets")
+    f, g = _induced_morphism(rho), _induced_morphism(sigma)
     statuses = []
     for op in rho.source.operators:
         seq = Sequent(op.arity_context, op.arity,
-                      Eq(rho.op_map[op.name], sigma.op_map[op.name]))
-        res = prove(tgt_theory, seq, depth=depth, model_size=0)
+                      Eq(f.func_map[op.name].term, g.func_map[op.name].term))
+        res = prove(f.target, seq, depth=depth, model_size=0)
         statuses.append((op.name, res.verdict))
     return EquivalenceReport(tuple(statuses))
 

@@ -409,3 +409,29 @@ def prove_saturation_first(theory, seq, depth=4, model_size=4, max_work=None):
              if exhausted else f"saturation truncated at depth {depth}")
     return prover.UnknownVerdict(f"{cause} and no countermodel with at most "
                                  f"{model_size} elements per sort")
+
+
+def replace_ops(rho, f):
+    """The plain operator rewrite of a relative-theory morphism: each
+    operator application `op(ū)` in `f` becomes `op_map[op]` at `ū`, and
+    nothing is added. For terms that use all their parameters and arities
+    `true`, translating along the induced morphism gives the same."""
+    from phl.syntax import App, Conj, Eq, RelApp, Truth, Var, subst_term
+
+    def term(t):
+        if isinstance(t, Var):
+            return t
+        args = tuple(term(a) for a in t.args)
+        if t.func in rho.op_map:
+            src_op = next(op for op in rho.source.operators if op.name == t.func)
+            return subst_term(rho.op_map[t.func],
+                              dict(zip(src_op.arity_context.names, args)))
+        return App(t.func, args)
+
+    if isinstance(f, Truth):
+        return f
+    if isinstance(f, Conj):
+        return Conj(tuple(replace_ops(rho, p) for p in f.parts))
+    if isinstance(f, Eq):
+        return Eq(term(f.lhs), term(f.rhs))
+    return RelApp(f.rel, tuple(term(a) for a in f.args))

@@ -6,9 +6,9 @@ import pytest
 
 from phl import freemodel
 from phl.freemodel import (
-    FreeModelError, TermGraph, assert_in_graph, free_algebra,
-    repn_coequalizer, repn_morphism, representing_model, saturate,
-    saturation_pass, yoneda_check,
+    FreeModelError, TermGraph, assert_in_graph, repn_coequalizer,
+    repn_morphism, representing_model, saturate, saturation_pass,
+    yoneda_check,
 )
 from phl.sampling import random_sequent
 from phl.semantics import check_hom, enumerate_homs, enumerate_models, \
@@ -21,7 +21,7 @@ from phl.syntax import (
 from phl.theories import (
     cat_theory, chain_poset, mon_theory, pos_theory, preorder_theory, set_theory,
 )
-from phl.translation import RelOperator, make_relative_theory
+from phl.translation import RelOperator, free_algebra, make_relative_theory
 
 
 def pres(theory, text, depth):
@@ -641,6 +641,8 @@ class TestFreeAlgebra:
         assert m.rel_table("leq") == {(a, a), (a, b), (a, t), (b, b), (b, t),
                                       (t, t)}
         assert check_hom(fa.unit)
+        assert fa.unit.target.name == "U_repn"
+        assert fa.unit.target.signature == pos_theory().signature
         assert is_algebra(m, rt).ok
 
     def test_free_constant_on_point(self):

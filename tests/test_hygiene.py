@@ -166,6 +166,13 @@ def test_kernel_stands_apart_from_the_engines():
     assert "phl.kernel" not in runtime_imports(parsed(SRC / "prover.py"))
 
 
+def test_freemodel_does_not_load_translation():
+    """Free algebras live beside `pht_of` in `phl.translation`, which builds
+    on `phl.freemodel`; the saturation engine imports nothing back, not even
+    inside a function."""
+    assert "phl.translation" not in runtime_imports(parsed(SRC / "freemodel.py"))
+
+
 # `phl.cli` imports each engine module inside the subcommand that runs it, so
 # that a fresh `phl` process compiles and loads only those
 CLI_BASE = {"phl", "phl.cli", "phl.syntax"}

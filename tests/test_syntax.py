@@ -137,6 +137,36 @@ class TestParser:
         assert isinstance(f, Conj)
 
 
+@pytest.mark.parametrize("theory, text, message", [
+    (pos_theory, "[x:*] leq(x) |- true", "'leq' expects 2 arguments, got 1 at line 1:7"),
+    (pos_theory, "[x:*] leq(leq(x,x), x) |- true",
+     "relation 'leq' used inside a term at line 1:7"),
+    (cat_theory, "[f:mor] def(d(d(f))) |- true",
+     "argument of 'd' has sort ob, expected mor at line 1:13"),
+    (mon_theory, "[x:*] foo(x) = x |- true", "unknown symbol 'foo' at line 1:7"),
+    (pos_theory, "[x:*] def(leq(x,x)) |- true",
+     "def applies to terms, not relations at line 1:7"),
+    (pos_theory, "[x:*] def x |- true", "expected '(' after def at line 1:7"),
+    (pos_theory, "[x:*] x = leq(x,x) |- true",
+     "relation symbol on the right of '=' at line 1:9"),
+    (cat_theory, "[x:ob, f:mor] x = f |- true",
+     "equation between sorts ob and mor at line 1:17"),
+    (mon_theory, "[x:*] mul(x,x) |- true", "expected '=' after term at line 1:7"),
+], ids=["arg-count", "relation-in-term", "arg-sort", "unknown-symbol",
+        "def-relation", "def-no-paren", "relation-rhs", "sort-mismatch",
+        "no-equals"])
+def test_atom_parse_errors(theory, text, message):
+    with pytest.raises(ParseError) as e:
+        parse_sequent(text, theory().signature)
+    assert str(e.value) == message
+
+
+def test_theory_body_parse_error():
+    with pytest.raises(ParseError) as e:
+        parse_theory("theory t\nsorts: *;\nfoo;\n")
+    assert str(e.value) == "unexpected 'foo' in theory body at line 3:1"
+
+
 HOM_DOCS = ["hom collapse : chain2 -> chain2\nmap *: a->b b->b;\n"]
 MORPHISM_DOCS = [
     "morphism emb : quiv -> quiv\nsort e => e;\nsort v => v;\n"

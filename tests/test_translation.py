@@ -6,12 +6,12 @@ from phl.birkhoff import BirkhoffError, make_finite_category
 from phl.freemodel import representing_model
 from phl.semantics import (
     enumerate_homs, enumerate_models, enumerate_structures, interp_formula,
-    is_model, make_structure, size_profiles,
+    interp_term, is_model, make_structure, size_profiles,
 )
 from phl.syntax import (
     App, Conj, Context, Eq, NamedAxiom, ParseError, RelApp, Sequent, TRUE, Var,
-    conj, defined, parse_formula_in_context, parse_sequent, parse_theory,
-    subst_formula,
+    conj, defined, free_vars, parse_formula_in_context, parse_sequent,
+    parse_theory, subst_formula, subterms,
 )
 from phl.theories import (
     cat_theory, mon_theory, pos_theory, quiver_theory, rsrel_theory,
@@ -24,8 +24,10 @@ from phl.translation import (
     make_sketch, make_theory_morphism, morphism_equivalent, parse_morphism,
     parse_sketch, pht_of, print_morphism, rel_morphism_obligations,
     sketch_to_pht, translate, translate_sequent, SketchArrow, ProductCone,
-    PullbackCone,
+    PullbackCone, _rel_obligations,
 )
+
+from conftest import replace_ops
 
 
 def quiv_to_cat():
@@ -102,6 +104,19 @@ class TestTranslate:
                                             mon.signature)
         out = translate(rho, phi)
         assert defined(Var("y")) in list(out.parts)
+
+    def test_dropped_relation_argument_gets_definedness(self):
+        # leq |-> [a, b] leq(a, a) loses b: the partial term in its place
+        # must still be defined
+        th = parse_theory("theory pf\nsorts: *\nfun f : * -> *;\nrel leq : * *;\n")
+        rho = make_theory_morphism(
+            "diag", th, th, {"*": "*"},
+            {"f": FuncAssignment(("a",), App("f", (Var("a"),)))},
+            {"leq": RelAssignment(("a", "b"), RelApp("leq", (Var("a"), Var("a"))))})
+        ctx, phi = parse_formula_in_context("[x:*] leq(x, f(f(x)))", th.signature)
+        assert translate(rho, phi) == conj([
+            RelApp("leq", (Var("x"), Var("x"))),
+            defined(App("f", (App("f", (Var("x"),)),)))])
 
     def test_translation_commutes_with_substitution(self, mon):
         rho = quiv_to_cat()
@@ -438,6 +453,219 @@ class TestRelMorphismEquivalence:
         rho = RelMorphism("r", rt, rt,
                           {"join": App("join", (Var("x"), Var("y")))})
         assert rel_morphism_obligations(rho, depth=2).accepted
+
+    def test_different_targets_rejected(self):
+        rt = semilattice_rt()
+        rho = RelMorphism("r", rt, rt, {"join": Var("x")})
+        sigma = RelMorphism("s", rt, semilattice_over(pos_theory()),
+                            {"join": Var("x")})
+        with pytest.raises(TranslationError, match="different targets"):
+            morphism_equivalent(rho, sigma, depth=2)
+
+
+def base_with_g():
+    return parse_theory("theory ga\nsorts: *\nfun g : * -> *;\n")
+
+
+def base_with_r():
+    return parse_theory("theory rb\nsorts: *\nrel r : *;\n")
+
+
+X, XY = Context((("x", "*"),)), Context((("x", "*"), ("y", "*")))
+K = App("k", ())
+
+
+def constant_target(base):
+    """T of cases A and B: a nullary `k` with `[] true |- def(k)`."""
+    return make_relative_theory(
+        base, [RelOperator("k", Context(), TRUE, "*")],
+        [NamedAxiom("kdef", Sequent(Context(), TRUE, defined(K)))])
+
+
+def unary_source(base, arity, conclusion):
+    """`op : [x:*] arity -> *` with one judgment `J: [x:*] true |- conclusion`."""
+    return make_relative_theory(
+        base, [RelOperator("op", X, arity, "*")],
+        [NamedAxiom("J", Sequent(X, TRUE, conclusion))])
+
+
+def semilattice_over(base):
+    x, y, z = Var("x"), Var("y"), Var("z")
+    j = lambda a, b: App("join", (a, b))
+    return make_relative_theory(
+        base, [RelOperator("join", XY, TRUE, "*")],
+        [NamedAxiom("idem", Sequent(X, TRUE, Eq(j(x, x), x))),
+         NamedAxiom("comm", Sequent(XY, TRUE, Eq(j(x, y), j(y, x)))),
+         NamedAxiom("assoc", Sequent(Context((("x", "*"), ("y", "*"), ("z", "*"))),
+                                     TRUE, Eq(j(j(x, y), z), j(x, j(y, z)))))])
+
+
+def rel_morphism_corpus():
+    """Every morphism over the bases of `set_theory()` and of cases A and B
+    from a unary source (the judgments of A and B, arity `true` or, over
+    `r`, `r(x)`) or the semilattice to the constant target or the
+    semilattice, sending the operator to each well-sorted candidate term."""
+    x, y = Var("x"), Var("y")
+    out = []
+    for base in (set_theory(), base_with_g(), base_with_r()):
+        funcs = {f.name for f in base.signature.functions}
+        rels = {r.name for r in base.signature.relations}
+        arities = [TRUE] + ([RelApp("r", (x,))] if "r" in rels else [])
+        templates = [defined(App("op", (x,)))]
+        if "g" in funcs:
+            templates.append(defined(App("op", (App("g", (x,)),))))
+        sources = [unary_source(base, a, c) for a in arities for c in templates]
+        sources.append(semilattice_over(base))
+        for tgt in (constant_target(base), semilattice_over(base)):
+            have = {op.name for op in tgt.operators} | funcs
+            for src in sources:
+                (op,) = src.operators
+                if len(op.arity_context) == 1:
+                    terms = [x, K, App("g", (x,)), App("join", (x, x))]
+                else:
+                    terms = [x, K, App("join", (x, y)), App("join", (y, x))]
+                for t in terms:
+                    if {a.func for a in subterms(t) if isinstance(a, App)} <= have:
+                        out.append(RelMorphism(
+                            f"{base.name}/{len(out)}", src, tgt, {op.name: t}))
+    return out
+
+
+def arity_restricted_reduct(rho, m):
+    """The pht_of(S) structure on a pht_of(T) model: the base tables of `m`,
+    and each operator sent to its term where its arity holds, undefined
+    elsewhere."""
+    base = rho.source.base.signature
+    funcs = {f.name: m.func_table(f.name) for f in base.functions}
+    for op in rho.source.operators:
+        ctx, t = op.arity_context, rho.op_map[op.name]
+        funcs[op.name] = {
+            tup: v for tup in interp_formula(m, ctx, op.arity)
+            if (v := interp_term(m, ctx, t, tup)) is not None}
+    return make_structure(
+        f"red_{m.name}", pht_of(rho.source).signature, m.carriers, funcs,
+        {r.name: m.rel_table(r.name) for r in base.relations})
+
+
+class TestRelMorphismObligations:
+    """A relative-theory morphism's obligations are translations along the
+    induced morphism pht_of(S) -> pht_of(T)."""
+
+    def test_same_as_operator_rewrite_where_nothing_is_dropped(self):
+        # terms that use all their parameters, arities `true`: the judgment
+        # obligations are exactly the plain operator rewrite
+        checked = 0
+        for rho in rel_morphism_corpus():
+            ops = rho.source.operators
+            if any(op.arity != TRUE or set(op.arity_context.names)
+                   - free_vars(rho.op_map[op.name]) for op in ops):
+                continue
+            _, obligations = _rel_obligations(rho)
+            assert obligations[len(ops):] == [
+                (j.name, Sequent(j.sequent.context, j.sequent.premise,
+                                 replace_ops(rho, j.sequent.conclusion)))
+                for j in rho.source.judgments], rho.name
+            checked += 1
+        assert checked >= 10
+
+    def test_accepted_morphisms_restrict_every_small_algebra(self):
+        # soundness: every pht_of(T) model of at most 2 elements restricts,
+        # along an accepted morphism, to an S-algebra over the same base
+        accepted, unsound = 0, []
+        for rho in rel_morphism_corpus():
+            if not rel_morphism_obligations(rho, depth=2).accepted:
+                continue
+            accepted += 1
+            unsound += [(rho.name, m.name)
+                        for m in enumerate_models(pht_of(rho.target), 2)
+                        if not is_model(arity_restricted_reduct(rho, m),
+                                        pht_of(rho.source)).ok]
+        assert unsound == []
+        assert accepted >= 10
+
+    def test_dropped_argument_refuted(self):
+        # case A: `J` forces `g` total, which `k` knows nothing of
+        base = base_with_g()
+        src = unary_source(base, TRUE, defined(App("op", (App("g", (Var("x"),)),))))
+        rho = RelMorphism("a", src, constant_target(base), {"op": K})
+        _, obligations = _rel_obligations(rho)
+        assert obligations[1][1].conclusion == \
+            conj([defined(K), defined(App("g", (Var("x"),)))])
+        assert rel_morphism_obligations(rho).statuses == \
+            (("op_defined", "Proved"), ("J", "Refuted"))
+
+    def test_arity_refuted(self):
+        # case B: `J` and `op_dom_sub` force `r` total
+        base = base_with_r()
+        src = unary_source(base, RelApp("r", (Var("x"),)),
+                           defined(App("op", (Var("x"),))))
+        rho = RelMorphism("b", src, constant_target(base), {"op": K})
+        assert rel_morphism_obligations(rho).statuses == \
+            (("op_defined", "Proved"), ("J", "Refuted"))
+
+    def test_wrong_sort_rejected(self):
+        # case C: a `mor` term for an `ob` operator
+        base = parse_theory("theory cb\nsorts: ob mor\nfun d : mor -> ob;\n")
+        xo = Context((("x", "ob"),))
+        src = make_relative_theory(base, [RelOperator("op", xo, TRUE, "ob")], [])
+        tgt = make_relative_theory(base, [RelOperator("m", xo, TRUE, "mor")], [])
+        rho = RelMorphism("c", src, tgt, {"op": App("m", (Var("x"),))})
+        with pytest.raises(TranslationError, match="has sort mor, expected ob"):
+            rel_morphism_obligations(rho)
+
+    def test_missing_operator_rejected(self):
+        rt = semilattice_rt()
+        with pytest.raises(TranslationError, match="unmapped function 'join'"):
+            rel_morphism_obligations(RelMorphism("r", rt, rt, {}))
+
+    def test_base_function_kept(self):
+        base = base_with_g()
+        src = unary_source(base, TRUE, defined(App("op", (Var("x"),))))
+        rho = RelMorphism("r", src, constant_target(base), {"op": K, "g": Var("x")})
+        with pytest.raises(TranslationError, match=r"maps base functions \['g'\]"):
+            rel_morphism_obligations(rho)
+
+    def test_unknown_operator_rejected(self):
+        rt = semilattice_rt()
+        rho = RelMorphism("r", rt, rt, {"join": Var("x"), "meet": Var("x")})
+        with pytest.raises(TranslationError,
+                           match="assignment for unknown function 'meet'"):
+            rel_morphism_obligations(rho)
+
+
+class TestMorphismDiagnostics:
+    def test_assignment_that_fails_to_sort(self):
+        with pytest.raises(TranslationError) as e:
+            make_theory_morphism(
+                "qc", quiver_theory(), cat_theory(), {"e": "mor", "v": "ob"},
+                {"s": FuncAssignment(("f",), App("nope", (Var("f"),))),
+                 "t": FuncAssignment(("f",), App("c", (Var("f"),)))}, {})
+        assert str(e.value) == ("bad theory morphism 'qc': assignment for 's': "
+                                "unknown function symbol 'nope'")
+
+    @pytest.mark.parametrize("rel_map, problem", [
+        ({}, "unmapped relation 'leq'"),
+        ({"leq": RelAssignment(("x",), TRUE)},
+         "assignment for 'leq' has wrong parameter count"),
+    ], ids=["unmapped", "parameter-count"])
+    def test_relation_assignments(self, rel_map, problem):
+        with pytest.raises(TranslationError) as e:
+            make_theory_morphism("pp", pos_theory(), pos_theory(), {"*": "*"},
+                                 {}, rel_map)
+        assert str(e.value) == f"bad theory morphism 'pp': {problem}"
+
+    def test_parse_morphism_unknown_theory(self):
+        with pytest.raises(ParseError) as e:
+            parse_morphism("morphism m : pos -> nope\n", {"pos": pos_theory()})
+        assert str(e.value) == "unknown theory 'nope' at line 2:1"
+
+
+def test_parse_sketch_pullback_cone_needs_two_legs():
+    with pytest.raises(ParseError) as e:
+        parse_sketch("sketch s\nobjects: a;\narrow ia : a -> a;\n"
+                     "identity a = ia;\npullback-cone a [ia] over [ia ia];\n")
+    assert str(e.value) == \
+        "pullback cones need two legs and two base arrows at line 6:1"
 
 
 def product_sketch():
